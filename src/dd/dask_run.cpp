@@ -7,18 +7,9 @@
 #include <vector>
 
 #include "dd/dask_distributed.h"
-#include "exec/serial_resource.h"
-#include "fault/backoff_ledger.h"
-#include "fault/fault_injector.h"
-#include "ha/factory.h"
-#include "ha/snapshot.h"
-#include "net/flow_gate.h"
-#include "exec/task_state.h"
 #include "exec/time_model.h"
-#include "obs/attribution.h"
-#include "obs/observer.h"
-#include "obs/span.h"
-#include "sim/rng.h"
+#include "fault/backoff_ledger.h"
+#include "run/run_core.h"
 
 namespace hepvine::dd {
 
@@ -33,178 +24,41 @@ using util::Tick;
 constexpr std::int32_t kNoProc = -1;
 
 // vine-snapshot: state
-class DaskRun {
+class DaskRun final : public run::RunCore {
  public:
   DaskRun(const dag::TaskGraph& graph, cluster::Cluster& cluster,
           const exec::RunOptions& options, const DaskTunables& tun)
-      : graph_(graph),
-        cluster_(cluster),
-        engine_(cluster.engine()),
-        options_(options),
-        tun_(tun),
-        table_(graph),
-        rng_(options.seed, "dask-run"),
-        scheduler_(cluster.engine()),
-        obs_(obs::make_observation(options.observability)) {
-    report_.scheduler = "dask.distributed";
-    report_.tasks_total = graph.size();
-    report_.transfers = metrics::TransferMatrix(cluster.endpoint_count());
-    report_.cache = metrics::CacheTrace(cluster.worker_count());
+      : RunCore(graph, cluster, options, /*depth_priority=*/true,
+                {"dask.distributed", "dask-run", "scheduler", "node"}),
+        tun_(tun) {
     build_tables();
   }
 
-  exec::RunReport execute() {
-    for (TaskId sink : graph_.sinks()) {
-      is_sink_[static_cast<std::size_t>(sink)] = true;
-      ++sinks_outstanding_;
-    }
-    begin_observation();
-    begin_fault_injection();
-    begin_profile();
-    // With the elastic factory on, only min_workers slots start matching;
-    // the factory starts parked slots as queue depth demands.
-    const std::uint32_t initial_workers =
-        options_.ha.factory.enabled()
-            ? std::max(options_.ha.factory.min_workers, 1U)
-            : 0xffffffffU;
-    cluster_.request_workers([this](WorkerId w) { on_node_up(w); },
-                             [this](WorkerId w) { on_node_down(w); },
-                             initial_workers);
-    begin_factory();
-    engine_.schedule_at(options_.max_sim_time, [this] {
-      if (!finished_) fail_run("exceeded max simulated time");
-    });
+ private:
+  // --------------------------------------------------------------------
+  // Lifecycle hooks (run/run_core.h; DESIGN.md "Run lifecycle").
+  // --------------------------------------------------------------------
+  void on_start() override {
     // Graph submission: the scheduler loop ingests every task definition
     // before it can dispatch or service heartbeats.
-    scheduler_.acquire(static_cast<Tick>(graph_.size()) *
-                       tun_.graph_intake_cost_per_task);
+    manager_.acquire(static_cast<Tick>(graph_.size()) *
+                     tun_.graph_intake_cost_per_task);
     schedule_heartbeats();
-    schedule_snapshot();
-
-    while (!finished_ && engine_.step()) {
-    }
-    if (!finished_) fail_run("event queue drained before completion");
-
-    if (injector_) {
-      injector_->stop();
-      report_.faults = injector_->stats();
-    }
-    if (factory_) {
-      factory_->stop();
-      report_.ha.factory_grow_events = factory_->grow_events();
-      report_.ha.factory_shrink_events = factory_->shrink_events();
-      report_.ha.workers_started = factory_->workers_started();
-      report_.ha.workers_released = factory_->workers_released();
-    }
-    report_.worker_preemptions = cluster_.batch().preemptions();
-    report_.task_attempts = total_attempts_;
-    report_.task_failures = report_.trace.failures();
-    report_.lineage_resets = lineage_resets_;
-    if (report_.makespan > 0) {
-      report_.manager_busy_fraction_legacy =
-          std::min(1.0, static_cast<double>(scheduler_.total_busy_time()) /
-                            static_cast<double>(report_.makespan));
-    }
-    finish_profile();
-    if (obs_->enabled()) {
-      obs_->txn().manager_end(engine_.now());
-      obs_->finalize(engine_.now());
-      report_.observation = obs_;
-    }
-    return std::move(report_);
   }
 
-  [[nodiscard]] bool txn_on() const { return obs_->txn_enabled(); }
-  [[nodiscard]] bool trace_on() const { return obs_->trace_enabled(); }
-
-  void begin_observation() {
-    if (!obs_->enabled()) return;
-
-    if (txn_on()) {
-      obs_->txn().manager_start(engine_.now());
-      table_.set_ready_listener([this](TaskId t, Tick now) {
-        obs_->txn().task_waiting(now, t, graph_.task(t).spec.category,
-                                 table_.at(t).attempts);
-      });
-      for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-        const auto& st = table_.at(t);
-        if (st.state == TaskState::kReady) {
-          obs_->txn().task_waiting(st.ready_at, t,
-                                   graph_.task(t).spec.category, st.attempts);
-        }
-      }
-    }
-
-    if (trace_on()) {
-      obs_->trace().set_lane_name(
-          static_cast<std::int32_t>(cluster_.manager_endpoint()),
-          "scheduler");
-      for (WorkerId w = 0;
-           w < static_cast<WorkerId>(cluster_.worker_count()); ++w) {
-        obs_->trace().set_lane_name(
-            static_cast<std::int32_t>(cluster_.worker_endpoint(w)),
-            "node " + std::to_string(w));
-      }
-      obs_->trace().set_lane_name(
-          static_cast<std::int32_t>(cluster_.fs_endpoint()), "shared-fs");
-    }
-
-    if (obs_->perf_enabled()) {
-      auto& stats = obs_->stats();
-      stats.gauge("tasks.total",
-                  [this] { return static_cast<double>(graph_.size()); });
-      stats.gauge("tasks.done", [this] {
-        return static_cast<double>(table_.done_count());
-      });
-      stats.gauge("tasks.ready", [this] {
-        return static_cast<double>(table_.ready_count());
-      });
-      stats.gauge("tasks.inflight", [this] {
-        return static_cast<double>(attempts_live_);
-      });
-      stats.gauge("procs.alive", [this] {
-        std::size_t n = 0;
-        for (const Proc& p : procs_) n += p.alive ? 1 : 0;
-        return static_cast<double>(n);
-      });
-      stats.gauge("procs.busy", [this] {
-        std::size_t n = 0;
-        for (const Proc& p : procs_) n += (p.alive && p.busy) ? 1 : 0;
-        return static_cast<double>(n);
-      });
-      stats.gauge("scheduler.backlog", [this] {
-        return static_cast<double>(scheduler_.backlog());
-      });
-      stats.gauge("scheduler.busy_fraction", [this] {
-        const Tick now = engine_.now();
-        if (now <= 0) return 0.0;
-        return std::min(1.0,
-                        static_cast<double>(scheduler_.total_busy_time()) /
-                            static_cast<double>(now));
-      });
-      stats.gauge("engine.events_executed", [this] {
-        return static_cast<double>(engine_.executed());
-      });
-      stats.gauge("engine.events_pending", [this] {
-        return static_cast<double>(engine_.pending());
-      });
-      cluster_.batch().register_stats(stats);
-      cluster_.network().register_stats(stats);
-      cluster_.fs().register_stats(stats);
-      obs_->perf().bind(stats);
-      schedule_perf_sample();
-    }
-  }
-
-  void schedule_perf_sample() {
-    engine_.schedule_after(obs_->config().perf_sample_interval, [this] {
-      if (finished_) return;
-      obs_->perf().sample(engine_.now(), obs_->stats());
-      schedule_perf_sample();
+  void add_gauges(obs::StatsRegistry& stats) override {
+    stats.gauge("procs.alive", [this] {
+      std::size_t n = 0;
+      for (const Proc& p : procs_) n += p.alive ? 1 : 0;
+      return static_cast<double>(n);
+    });
+    stats.gauge("procs.busy", [this] {
+      std::size_t n = 0;
+      for (const Proc& p : procs_) n += (p.alive && p.busy) ? 1 : 0;
+      return static_cast<double>(n);
     });
   }
 
- private:
   // --------------------------------------------------------------------
   // One single-core worker process. `proc = node * cores_per_node + k`.
   // --------------------------------------------------------------------
@@ -243,22 +97,12 @@ class DaskRun {
       files_[static_cast<std::size_t>(task.output_file)].producer = task.id;
       files_[static_cast<std::size_t>(task.output_file)].consumers_left =
           static_cast<std::uint32_t>(task.dependents.size());
-      for (TaskId dep : task.spec.deps) {
-        (void)dep;
-      }
     }
     cores_per_node_ = cluster_.spec().worker.cores;
     procs_.resize(static_cast<std::size_t>(cluster_.worker_count()) *
                   cores_per_node_);
-    is_sink_.assign(graph_.size(), false);
-    attempts_.clear();
     attempts_.resize(graph_.size());
-    attempts_live_ = 0;
     running_on_.assign(procs_.size(), dag::kInvalidTask);
-    sink_gathered_.assign(graph_.size(), 0);
-    reset_counts_.assign(graph_.size(), 0);
-    pending_crash_.assign(cluster_.worker_count(), false);
-    pending_release_.assign(cluster_.worker_count(), false);
     mem_per_proc_ = cluster_.spec().worker.memory / cores_per_node_;
   }
 
@@ -275,34 +119,16 @@ class DaskRun {
   [[nodiscard]] FileInfo& file(FileId f) {
     return files_[static_cast<std::size_t>(f)];
   }
-
-  // --------------------------------------------------------------------
-  // Tokens (task attempt validity), as in the vine engine.
-  // --------------------------------------------------------------------
-  struct Token {
-    TaskId task = 0;
-    std::uint32_t attempt = 0;
-  };
-  [[nodiscard]] bool token_valid(const Token& t) const {
-    const auto& st = table_.at(t.task);
-    return st.attempts == t.attempt &&
-           (st.state == TaskState::kDispatched ||
-            st.state == TaskState::kRunning);
+  [[nodiscard]] const FileInfo& file(FileId f) const {
+    return files_[static_cast<std::size_t>(f)];
   }
 
   struct Attempt {
     std::int32_t proc = kNoProc;
     std::uint32_t staging_outstanding = 0;
     std::vector<dag::ValuePtr> inputs;
-    /// Lifecycle phase boundaries for the profiler (obs/span.h); -1 until
-    /// the attempt reaches the phase. span_exec_end is stamped at process
-    /// exit in complete_exec (dd has no exec_finished_at equivalent).
-    Tick span_ready = -1;
-    Tick span_dispatched = -1;
-    Tick span_staged = -1;
-    Tick span_exec = -1;
-    Tick span_compute = -1;
-    Tick span_exec_end = -1;
+    run::SpanMarks span;
+    Tick exec_end = -1;  // process exit, stamped in complete_exec
   };
   /// Live attempts, dense by TaskId (presence = non-null slot). The
   /// unique_ptr indirection keeps Attempt addresses stable while other
@@ -310,8 +136,6 @@ class DaskRun {
   /// attempts_live_ tracks the population for gauges and the factory
   /// queue-depth hook.
   std::vector<std::unique_ptr<Attempt>> attempts_;
-  // vine-snapshot: derived(count of non-null attempts_ slots)
-  std::size_t attempts_live_ = 0;
 
   [[nodiscard]] Attempt& attempt_at(TaskId t) {
     auto& slot = attempts_[static_cast<std::size_t>(t)];
@@ -326,82 +150,10 @@ class DaskRun {
     --attempts_live_;
   }
 
-  /// Capture one finished attempt into the profiler span log (and the
-  /// transaction log as a SPAN line), before the Attempt is erased.
-  void record_attempt_span(TaskId t, std::int32_t pid, const Attempt& a,
-                           bool failed) {
-    obs::AttemptSpan s;
-    s.task = t;
-    s.attempt = table_.at(t).attempts;
-    s.worker = pid == kNoProc ? -1 : static_cast<std::int32_t>(node_of(pid));
-    s.ready_at = a.span_ready;
-    s.dispatched_at = a.span_dispatched;
-    s.staged_at = a.span_staged;
-    s.exec_at = a.span_exec;
-    s.compute_at = a.span_compute;
-    s.exec_end_at = a.span_exec_end;
-    s.retrieved_at = engine_.now();
-    s.failed = failed;
-    s.category = graph_.task(t).spec.category;
-    if (txn_on()) {
-      obs_->txn().span_attempt(engine_.now(), t, s.attempt, s.worker,
-                               s.ready_at, s.dispatched_at, s.staged_at,
-                               s.exec_at, s.compute_at, s.exec_end_at,
-                               !failed, s.category);
-    }
-    report_.profile.add_attempt(std::move(s));
-  }
-
-  /// Arm the profiler: static cluster/DAG shape plus the wire-level flow
-  /// span listener. Node up/down and attempt spans are recorded at their
-  /// natural call sites.
-  void begin_profile() {
-    std::vector<std::uint32_t> cores;
-    cores.reserve(cluster_.worker_count());
-    for (WorkerId w = 0; w < static_cast<WorkerId>(cluster_.worker_count());
-         ++w) {
-      cores.push_back(cluster_.worker(w).cores);
-    }
-    report_.profile.set_worker_cores(std::move(cores));
-    for (const auto& task : graph_.tasks()) {
-      report_.profile.set_deps(task.id, task.spec.deps);
-    }
-    cluster_.network().set_span_listener(
-        [this](Tick started, Tick ended, net::FlowId id, std::uint64_t bytes,
-               std::uint64_t carried, char outcome) {
-          obs::FlowSpan fs;
-          fs.flow = id;
-          fs.bytes = bytes;
-          fs.carried = carried;
-          fs.started_at = started;
-          fs.ended_at = ended;
-          fs.outcome = outcome;
-          report_.profile.add_flow(fs);
-        });
-  }
-
-  /// Seal the span log once the makespan is known and derive the
-  /// attribution ledger, which supplies the reported busy fraction.
-  void finish_profile() {
-    report_.profile.set_manager(scheduler_.total_busy_time(),
-                                scheduler_.operations());
-    report_.profile.set_run(report_.makespan, report_.scheduler,
-                            report_.success);
-    const obs::AttributionLedger ledger = obs::attribute(report_.profile);
-    report_.manager_busy_fraction = ledger.manager_busy_fraction;
-    assert(ledger.identity_ok());
-    if (trace_on() && obs_->config().trace_lifecycle_spans) {
-      obs::emit_lifecycle_trace(report_.profile, obs_->trace());
-    }
-  }
-
   // --------------------------------------------------------------------
   // Node / process lifecycle.
   // --------------------------------------------------------------------
-  void on_node_up(WorkerId w) {
-    if (finished_) return;
-    if (txn_on()) obs_->txn().worker_connection(engine_.now(), w);
-    report_.profile.worker_up(engine_.now(), w);
+  void on_worker_up(WorkerId w) override {
     for (std::uint32_t k = 0; k < cores_per_node_; ++k) {
       auto& p = proc(proc_id(w, k));
       p = Proc{};
@@ -411,18 +163,7 @@ class DaskRun {
     pump();
   }
 
-  void on_node_down(WorkerId w) {
-    if (finished_) return;
-    if (txn_on()) {
-      const bool crashed = pending_crash_[static_cast<std::size_t>(w)];
-      const bool released = pending_release_[static_cast<std::size_t>(w)];
-      obs_->txn().worker_disconnection(
-          engine_.now(), w,
-          crashed ? "FAILURE" : released ? "RELEASED" : "PREEMPTED");
-    }
-    pending_crash_[static_cast<std::size_t>(w)] = false;
-    pending_release_[static_cast<std::size_t>(w)] = false;
-    report_.profile.worker_down(engine_.now(), w);
+  void on_worker_down(WorkerId w) override {
     for (std::uint32_t k = 0; k < cores_per_node_; ++k) {
       kill_proc(proc_id(w, k), /*restart=*/false);
       if (finished_) return;
@@ -489,39 +230,14 @@ class DaskRun {
   }
 
   // --------------------------------------------------------------------
-  // Fault injection. Node crashes route through the batch system like
-  // vine's; "cache loss" drops in-memory result keys; only transfers with
-  // a retry closure (dataset reads, peer key fetches, client pulls, sink
-  // gathers) register as kill targets. Null injector_ = all no-ops.
+  // Fault hooks. "Cache loss" drops in-memory result keys; only transfers
+  // with a retry closure (dataset reads, peer key fetches, client pulls,
+  // sink gathers) register as kill targets.
   // --------------------------------------------------------------------
-  void begin_fault_injection() {
-    if (options_.faults.empty()) return;
-    injector_ = std::make_unique<fault::FaultInjector>(
-        cluster_, options_.faults, options_.fault_retry, obs_.get());
-    fault::FaultInjector::Hooks hooks;
-    hooks.crash_worker = [this](std::int32_t w) {
-      if (finished_ || !cluster_.worker(w).alive) return false;
-      if (pending_crash_[static_cast<std::size_t>(w)]) return false;
-      report_.worker_crashes += 1;
-      pending_crash_[static_cast<std::size_t>(w)] = true;
-      cluster_.batch().force_preempt(static_cast<std::uint32_t>(w));
-      return true;
-    };
-    hooks.lose_cached_file = [this](std::int32_t w, std::int64_t f) {
-      return lose_held_key(w, static_cast<FileId>(f));
-    };
-    hooks.crash_manager = [this] {
-      if (finished_) return false;
-      on_manager_crash();
-      return true;
-    };
-    injector_->arm(std::move(hooks));
-  }
-
   /// Drop the in-memory result key `f` from every process on node `w`
   /// (w = kNoWorker: from every holder). Lost keys are rediscovered at the
   /// next precheck or fetch and lineage-reset their producer.
-  std::size_t lose_held_key(WorkerId w, FileId f) {
+  std::size_t lose_file(WorkerId w, FileId f) override {
     if (finished_ || f < 0 || static_cast<std::size_t>(f) >= files_.size()) {
       return 0;
     }
@@ -543,30 +259,6 @@ class DaskRun {
     return lost;
   }
 
-  void forget_flow(net::FlowId flow) {
-    if (injector_ && flow != net::kInvalidFlow) {
-      injector_->forget_transfer(flow);
-    }
-  }
-
-  void lineage_reset(TaskId producer) {
-    const std::size_t reset = table_.reset_lost(
-        producer, engine_.now(), [this](TaskId p) {
-          return key_available(graph_.task(p).output_file);
-        });
-    lineage_resets_ += reset;
-    if (reset == 0) return;
-    auto& count = reset_counts_[static_cast<std::size_t>(producer)];
-    count += 1;
-    const std::uint32_t limit = options_.fault_retry.poisoned_reset_threshold;
-    if (limit > 0 && count > limit) {
-      fail_run("task " + std::to_string(producer) +
-               " poisoned: output lost " + std::to_string(count) +
-               " times, exceeding the reset threshold of " +
-               std::to_string(limit));
-    }
-  }
-
   // --------------------------------------------------------------------
   // Heartbeats: the scheduler loop must service every process's heartbeat
   // within the timeout, or the process is declared dead.
@@ -578,7 +270,7 @@ class DaskRun {
            pid < static_cast<std::int32_t>(procs_.size()); ++pid) {
         if (!proc(pid).alive) continue;
         const std::uint32_t incarnation = proc(pid).incarnation;
-        scheduler_.acquire_then(tun_.heartbeat_cost, [this, pid,
+        manager_.acquire_then(tun_.heartbeat_cost, [this, pid,
                                                       incarnation] {
           if (finished_) return;
           Proc& p = proc(pid);
@@ -640,14 +332,14 @@ class DaskRun {
   bool precheck_inputs(TaskId t) {
     for (TaskId dep : graph_.task(t).spec.deps) {
       const FileId f = graph_.task(dep).output_file;
-      if (table_.at(dep).state == TaskState::kDone && !key_available(f)) {
+      if (table_.at(dep).state == TaskState::kDone && !output_available(f)) {
         lineage_reset(dep);
       }
     }
     return table_.at(t).state == TaskState::kReady;
   }
 
-  [[nodiscard]] bool key_available(FileId f) {
+  [[nodiscard]] bool output_available(FileId f) const override {
     return file(f).at_client || !file(f).holders.empty();
   }
 
@@ -701,15 +393,15 @@ class DaskRun {
     Attempt attempt;
     attempt.proc = pid;
     attempt.inputs = table_.gather_inputs(t);
-    attempt.span_ready = table_.at(t).ready_at;
-    attempt.span_dispatched = engine_.now();
+    attempt.span.ready = table_.at(t).ready_at;
+    attempt.span.dispatched = engine_.now();
     auto& slot = attempts_[static_cast<std::size_t>(t)];
     assert(!slot);
     slot = std::make_unique<Attempt>(std::move(attempt));
     ++attempts_live_;
     const Token token{t, table_.at(t).attempts};
 
-    scheduler_.acquire_then(tun_.dispatch_cost, [this, token, pid] {
+    manager_.acquire_then(tun_.dispatch_cost, [this, token, pid] {
       if (!token_valid(token)) return;
       record_transfer(cluster_.manager_endpoint(),
                       cluster_.worker_endpoint(node_of(pid)),
@@ -724,7 +416,7 @@ class DaskRun {
     if (!token_valid(token)) return;
     const auto& task = graph_.task(token.task);
     auto& attempt = attempt_at(token.task);
-    attempt.span_staged = engine_.now();
+    attempt.span.staged = engine_.now();
 
     std::vector<std::pair<FileId, bool>> needed;  // (file, is_dataset)
     for (FileId f : task.spec.input_files) needed.emplace_back(f, true);
@@ -754,7 +446,7 @@ class DaskRun {
       if (!ok) {
         // Lost key: fail this attempt and lineage-reset the producer.
         const TaskId t = token.task;
-        fail_attempt_requeue(t);
+        fail_attempt(t);
         if (finished_) return;
         const TaskId producer = file(f).producer;
         if (producer != dag::kInvalidTask &&
@@ -771,11 +463,8 @@ class DaskRun {
     if (is_dataset) {
       fs_gate_.submit([this, f, dst_node, arrival, pid,
                        token](net::FlowGate::SlotToken slot) {
-        if (txn_on()) {
-          obs_->txn().transfer_start(engine_.now(), cluster_.fs_endpoint(),
-                                     cluster_.worker_endpoint(dst_node), f,
-                                     file(f).size);
-        }
+        txn_xfer_start(cluster_.fs_endpoint(),
+                       cluster_.worker_endpoint(dst_node), f, file(f).size);
         auto flow = std::make_shared<net::FlowId>(net::kInvalidFlow);
         *flow = cluster_.read_fs_to_worker(
             dst_node, file(f).size,
@@ -784,11 +473,9 @@ class DaskRun {
               record_transfer(cluster_.fs_endpoint(),
                               cluster_.worker_endpoint(dst_node),
                               file(f).size);
-              if (txn_on()) {
-                obs_->txn().transfer_done(
-                    engine_.now(), cluster_.fs_endpoint(),
-                    cluster_.worker_endpoint(dst_node), f, file(f).size);
-              }
+              txn_xfer_done(cluster_.fs_endpoint(),
+                            cluster_.worker_endpoint(dst_node), f,
+                            file(f).size);
               arrival(true);
             });
         offer_key_fetch(*flow, f, /*is_dataset=*/true, pid, token, arrival,
@@ -833,12 +520,8 @@ class DaskRun {
       engine_.schedule_after(copy, [arrival] { arrival(true); });
       return;
     }
-    if (txn_on()) {
-      obs_->txn().transfer_start(engine_.now(),
-                                 cluster_.worker_endpoint(src_node),
-                                 cluster_.worker_endpoint(dst_node), f,
-                                 file(f).size);
-    }
+    txn_xfer_start(cluster_.worker_endpoint(src_node),
+                   cluster_.worker_endpoint(dst_node), f, file(f).size);
     const Tick t0 = engine_.now();
     auto flow = std::make_shared<net::FlowId>(net::kInvalidFlow);
     *flow = cluster_.send_peer(
@@ -847,16 +530,13 @@ class DaskRun {
           forget_flow(*flow);
           record_transfer(cluster_.worker_endpoint(src_node),
                           cluster_.worker_endpoint(dst_node), file(f).size);
-          if (txn_on()) {
-            obs_->txn().transfer_done(
-                engine_.now(), cluster_.worker_endpoint(src_node),
-                cluster_.worker_endpoint(dst_node), f, file(f).size);
-          }
+          txn_xfer_done(cluster_.worker_endpoint(src_node),
+                        cluster_.worker_endpoint(dst_node), f, file(f).size);
           if (trace_on()) {
-            obs_->trace().add_flow(
-                static_cast<std::int32_t>(cluster_.worker_endpoint(src_node)),
-                static_cast<std::int32_t>(cluster_.worker_endpoint(dst_node)),
-                "peer key " + std::to_string(f), t0, engine_.now());
+            obs_->trace().add_flow(lane(cluster_.worker_endpoint(src_node)),
+                                   lane(cluster_.worker_endpoint(dst_node)),
+                                   "peer key " + std::to_string(f), t0,
+                                   engine_.now());
           }
           arrival(true);
         });
@@ -878,11 +558,8 @@ class DaskRun {
         flow_id, file(f).size,
         [this, f, is_dataset, pid, token, arrival = std::move(arrival),
          src_ep] {
-          if (txn_on()) {
-            obs_->txn().transfer_failed(
-                engine_.now(), src_ep,
-                cluster_.worker_endpoint(node_of(pid)), f, file(f).size);
-          }
+          txn_xfer_failed(src_ep, cluster_.worker_endpoint(node_of(pid)), f,
+                          file(f).size);
           if (!token_valid(token)) return;
           // Budget check: the Nth kill (N = max_transfer_retries)
           // exhausts it — N-1 backoff re-fetches happen before the
@@ -911,7 +588,7 @@ class DaskRun {
     if (txn_on()) {
       obs_->txn().task_running(engine_.now(), token.task, node_of(pid));
     }
-    attempt_at(token.task).span_exec = engine_.now();
+    attempt_at(token.task).span.exec = engine_.now();
     const auto& task = graph_.task(token.task);
     const auto& node = cluster_.worker(node_of(pid));
     Proc& p = proc(pid);
@@ -958,7 +635,7 @@ class DaskRun {
                                           code);
                           const Tick cpu =
                               options_.imports.total_cpu_cost();
-                          attempt_at(token.task).span_compute =
+                          attempt_at(token.task).span.compute =
                               engine_.now() + cpu;
                           engine_.schedule_after(
                               cpu + compute,
@@ -972,7 +649,7 @@ class DaskRun {
       return;
     }
 
-    attempt_at(token.task).span_compute = engine_.now() + pre;
+    attempt_at(token.task).span.compute = engine_.now() + pre;
     engine_.schedule_after(pre + compute, [this, token, pid] {
       complete_exec(token, pid);
     });
@@ -996,14 +673,14 @@ class DaskRun {
     file(task.output_file).holders.push_back(pid);
 
     auto& attempt = attempt_at(t);
-    attempt.span_exec_end = engine_.now();
+    attempt.exec_end = engine_.now();
     dag::ValuePtr value =
         task.spec.fn ? task.spec.fn(attempt.inputs) : nullptr;
 
     p.busy = false;
     running_on(pid) = dag::kInvalidTask;
 
-    scheduler_.acquire_then(
+    manager_.acquire_then(
         tun_.result_cost + cluster_.control_rtt() / 2,
         [this, token, pid, value = std::move(value)]() mutable {
           finalize_task(token, pid, std::move(value));
@@ -1027,15 +704,15 @@ class DaskRun {
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
     if (trace_on() && rec.started_at > 0) {
       obs_->trace().add_span(
-          static_cast<std::int32_t>(
-              cluster_.worker_endpoint(node_of(pid))),
-          rec.category, rec.category, rec.started_at,
-          rec.finished_at - rec.started_at,
+          lane(cluster_.worker_endpoint(node_of(pid))), rec.category,
+          rec.category, rec.started_at, rec.finished_at - rec.started_at,
           "{\"task\":" + std::to_string(t) + ",\"proc\":" +
               std::to_string(pid) + "}");
     }
     report_.trace.add(std::move(rec));
-    record_attempt_span(t, pid, attempt_at(t), /*failed=*/false);
+    const Attempt& done = attempt_at(t);
+    record_attempt_span(t, node_of(pid), done.span, done.exec_end,
+                        /*failed=*/false);
 
     table_.mark_done(t, std::move(value), engine_.now());
     attempt_erase(t);
@@ -1072,12 +749,8 @@ class DaskRun {
   void gather_sink(TaskId t, WorkerId node) {
     const FileId f = graph_.task(t).output_file;
     mgr_gate_.submit([this, t, f, node](net::FlowGate::SlotToken slot) {
-      if (txn_on()) {
-        obs_->txn().transfer_start(engine_.now(),
-                                   cluster_.worker_endpoint(node),
-                                   cluster_.manager_endpoint(), f,
-                                   file(f).size);
-      }
+      txn_xfer_start(cluster_.worker_endpoint(node),
+                     cluster_.manager_endpoint(), f, file(f).size);
       auto flow = std::make_shared<net::FlowId>(net::kInvalidFlow);
       *flow = cluster_.send_worker_to_manager(
           node, file(f).size, cluster_.control_rtt() / 2,
@@ -1086,19 +759,15 @@ class DaskRun {
             record_transfer(cluster_.worker_endpoint(node),
                             cluster_.manager_endpoint(),
                             file(graph_.task(t).output_file).size);
-            if (txn_on()) {
-              obs_->txn().transfer_done(
-                  engine_.now(), cluster_.worker_endpoint(node),
-                  cluster_.manager_endpoint(), graph_.task(t).output_file,
-                  file(graph_.task(t).output_file).size);
-            }
+            txn_xfer_done(cluster_.worker_endpoint(node),
+                          cluster_.manager_endpoint(),
+                          graph_.task(t).output_file,
+                          file(graph_.task(t).output_file).size);
             file(graph_.task(t).output_file).at_client = true;
-            if (!sink_gathered_[static_cast<std::size_t>(t)]) {
-              sink_gathered_[static_cast<std::size_t>(t)] = 1;
+            if (sink_done_[static_cast<std::size_t>(t)] == 0) {
               sink_backoff_.reset(t);  // gather episode over
-              --sinks_outstanding_;
             }
-            check_completion();
+            finish_sink(t);
           });
       offer_sink_gather(*flow, t, node);
     });
@@ -1111,91 +780,30 @@ class DaskRun {
     if (!injector_ || flow_id == net::kInvalidFlow) return;
     const FileId f = graph_.task(t).output_file;
     injector_->offer_transfer(flow_id, file(f).size, [this, t, node, f] {
-      if (txn_on()) {
-        obs_->txn().transfer_failed(engine_.now(),
-                                    cluster_.worker_endpoint(node),
-                                    cluster_.manager_endpoint(), f,
-                                    file(f).size);
-      }
+      txn_xfer_failed(cluster_.worker_endpoint(node),
+                      cluster_.manager_endpoint(), f, file(f).size);
       const Tick delay =
           injector_->backoff_delay(sink_backoff_.next_attempt(t));
       engine_.schedule_after(delay, [this, t, node] {
-        if (!finished_ && !sink_gathered_[static_cast<std::size_t>(t)]) {
+        if (!finished_ && !sink_done_[static_cast<std::size_t>(t)]) {
           gather_sink(t, node);
         }
       });
     });
   }
 
-  void check_completion() {
-    if (finished_) return;
-    if (table_.all_done() && sinks_outstanding_ == 0) {
-      finished_ = true;
-      report_.success = true;
-      report_.makespan = engine_.now();
-      for (TaskId sink : graph_.sinks()) {
-        report_.results[sink] = table_.at(sink).result;
-      }
-      cluster_.batch().drain();
-    }
-  }
-
   // --------------------------------------------------------------------
-  // Manager HA: crash handling, checkpointing, elastic factory. Mirrors
-  // the vine engine's scheme (vine_run.cpp); the snapshot schema differs
-  // because dd's state lives in process memory, not worker disks.
+  // Snapshot and factory hooks. dd's state lives in process memory, not
+  // on worker disks, so its sections are keys and processes.
   // --------------------------------------------------------------------
-  void on_manager_crash() {
-    report_.ha.manager_crashed = true;
-    report_.ha.crash_tick = engine_.now();
-    fail_run("manager crashed (injected manager_crash fault)");
-  }
-
-  void schedule_snapshot() {
-    if (!options_.ha.snapshots_enabled()) return;
-    engine_.schedule_after(options_.ha.snapshot_interval, [this] {
-      if (finished_) return;
-      take_snapshot();
-      schedule_snapshot();
-    });
-  }
-
-  void take_snapshot() {
-    ha::SnapshotBuilder b;
-
-    b.section("run");
-    b.field("tasks_total", graph_.size());
-    b.field("tasks_done", table_.done_count());
-    b.field("task_attempts", total_attempts_);
-    b.field("lineage_resets", lineage_resets_);
-    b.field("sinks_outstanding", sinks_outstanding_);
-    b.field("worker_crashes", report_.worker_crashes);
+  void snapshot_run_fields(ha::SnapshotBuilder& b) override {
     // The process round-robin cursor is real scheduler state: two
     // schedulers that agree on everything else but disagree on the cursor
     // assign the next task to different processes.
     b.field_i("rr_cursor", rr_cursor_);
+  }
 
-    b.section("tasks");
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      const auto& st = table_.at(t);
-      b.field_s("t" + std::to_string(t),
-                std::to_string(static_cast<int>(st.state)) + "/" +
-                    std::to_string(st.attempts) + "/" +
-                    std::to_string(st.worker));
-    }
-    // Sparse task-keyed state: per-producer lineage-reset counts (the
-    // poisoned-task detector's memory) and sink-gather completion bits.
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      const std::uint32_t n = reset_counts_[static_cast<std::size_t>(t)];
-      if (n != 0) b.field("r" + std::to_string(t), n);
-    }
-    for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
-      if (is_sink_[static_cast<std::size_t>(t)] &&
-          sink_gathered_[static_cast<std::size_t>(t)] != 0) {
-        b.field("s" + std::to_string(t), 1);
-      }
-    }
-
+  void snapshot_sections(ha::SnapshotBuilder& b) override {
     b.section("keys");
     for (FileId f = 0; f < static_cast<FileId>(files_.size()); ++f) {
       const auto& info = files_[static_cast<std::size_t>(f)];
@@ -1235,64 +843,12 @@ class DaskRun {
     sink_backoff_.for_each([&b](TaskId t, std::uint32_t n) {
       b.field("sink." + std::to_string(t), n);
     });
-
-    // Unconditional (zeros without an injector): a run whose only fault
-    // was the manager crash itself must snapshot byte-identically to its
-    // crash-stripped recovery rerun, which has no injector at all.
-    {
-      const fault::InjectionStats zero;
-      const fault::InjectionStats& fs =
-          injector_ ? injector_->stats() : zero;
-      b.section("injector");
-      b.field("faults_injected", fs.faults_injected);
-      b.field("worker_crashes", fs.worker_crashes);
-      b.field("cache_losses", fs.cache_losses);
-      b.field("cache_loss_noops", fs.cache_loss_noops);
-      b.field("transfers_killed", fs.transfers_killed);
-      b.field("fs_degradations", fs.fs_degradations);
-      b.field("stragglers", fs.stragglers);
-      b.field("manager_crashes", fs.manager_crashes);
-      b.field("transfer_retries", fs.transfer_retries);
-      b.field("transfer_giveups", fs.transfer_giveups);
-      b.field("backoff_wait", static_cast<std::uint64_t>(fs.backoff_wait));
-      b.field("fs_degraded_time",
-              static_cast<std::uint64_t>(fs.fs_degraded_time));
-    }
-
-    b.section("rng");
-    b.field_rng("dask_run", rng_.state());
-
-    ha::SnapshotRecord rec = b.finish(engine_.now(), snapshot_seq_++);
-    scheduler_.acquire(options_.ha.snapshot_cost(rec.bytes));
-    if (txn_on()) {
-      obs_->txn().snapshot_write(engine_.now(), rec.seq, rec.bytes,
-                                 rec.digest);
-    }
-    report_.ha.snapshots.push_back(std::move(rec));
-  }
-
-  void begin_factory() {
-    if (!options_.ha.factory.enabled()) return;
-    ha::Factory::Hooks hooks;
-    hooks.queue_depth = [this]() -> std::size_t {
-      return table_.ready_count() + attempts_live_;
-    };
-    hooks.connected_workers = [this] { return cluster_.alive_workers(); };
-    hooks.grow = [this](std::uint32_t n) {
-      return cluster_.batch().start_slots(n);
-    };
-    hooks.shrink = [this](std::uint32_t n) {
-      return release_idle_nodes(n);
-    };
-    factory_ = std::make_unique<ha::Factory>(engine_, options_.ha.factory,
-                                             std::move(hooks));
-    factory_->start();
   }
 
   /// Factory shrink: release nodes whose processes are all idle and hold
   /// no result keys (releasing a holder would force lineage resets).
   /// Highest ids go first, keeping the stable low-id core of the pool.
-  std::uint32_t release_idle_nodes(std::uint32_t n) {
+  std::uint32_t release_idle(std::uint32_t n) override {
     std::uint32_t released = 0;
     for (WorkerId w = static_cast<WorkerId>(cluster_.worker_count()) - 1;
          w >= 0 && released < n; --w) {
@@ -1313,53 +869,19 @@ class DaskRun {
     return released;
   }
 
-  // --------------------------------------------------------------------
-  // Failures.
-  // --------------------------------------------------------------------
-  void fail_attempt(TaskId t) { fail_attempt_requeue(t); }
-
-  void fail_attempt_requeue(TaskId t) {
-    const auto& st = table_.at(t);
-    if (st.state != TaskState::kDispatched &&
-        st.state != TaskState::kRunning) {
-      return;
-    }
-    metrics::TaskRecord rec;
-    rec.task_id = t;
-    rec.worker = st.worker;
-    rec.ready_at = st.ready_at;
-    rec.dispatched_at = st.dispatched_at;
-    rec.started_at = st.state == TaskState::kRunning ? st.started_at
-                                                     : st.dispatched_at;
-    rec.finished_at = engine_.now();
-    rec.failed = true;
-    rec.category = graph_.task(t).spec.category;
-    if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
-    report_.trace.add(std::move(rec));
-
+  void fail_attempt(TaskId t) {
+    if (!record_failed_attempt(t)) return;
     if (Attempt* a = attempt_find(t)) {
       const std::int32_t pid = a->proc;
       if (pid != kNoProc) {
         running_on(pid) = dag::kInvalidTask;
         if (proc(pid).alive) proc(pid).busy = false;
       }
-      record_attempt_span(t, pid, *a, /*failed=*/true);
+      record_attempt_span(t, pid == kNoProc ? cluster::kNoWorker : node_of(pid),
+                          a->span, a->exec_end, /*failed=*/true);
       attempt_erase(t);
     }
-    if (table_.at(t).attempts >= options_.max_task_retries) {
-      fail_run("task " + std::to_string(t) + " exceeded retry limit");
-      return;
-    }
-    table_.requeue(t, engine_.now());
-  }
-
-  void fail_run(std::string reason) {
-    if (finished_) return;
-    finished_ = true;
-    report_.success = false;
-    report_.failure_reason = std::move(reason);
-    report_.makespan = engine_.now();
-    cluster_.batch().drain();
+    retry_or_fail(t, /*requeue=*/true);
   }
 
   void record_transfer(std::size_t src, std::size_t dst,
@@ -1368,62 +890,26 @@ class DaskRun {
   }
 
   // --------------------------------------------------------------------
-  const dag::TaskGraph& graph_;
-  cluster::Cluster& cluster_;
-  sim::Engine& engine_;
-  const exec::RunOptions options_;
   const DaskTunables tun_;
 
-  exec::TaskStateTable table_;
-  sim::Rng rng_;
-  exec::SerialResource scheduler_;
-  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
-  net::FlowGate mgr_gate_{64};
-  // vine-snapshot: derived(occupancy implied by the snapshot flow sections)
-  net::FlowGate fs_gate_{256};
   std::vector<Proc> procs_;
   std::vector<FileInfo> files_;
   /// Task running on each process slot, dense by pid; kInvalidTask when
   /// the slot is idle.
   // vine-snapshot: derived(inverse of the per-task worker column in the tasks section)
   std::vector<TaskId> running_on_;
-  /// Sink gather completion, dense by TaskId (only sink ids are ever set).
-  std::vector<char> sink_gathered_;
-  // vine-snapshot: derived(graph property, rebuilt at startup)
-  std::vector<bool> is_sink_;
-
-  std::shared_ptr<obs::RunObservation> obs_;
-
-  // Fault-injection state (null/empty when RunOptions::faults is empty).
   // Backoff ledgers reset on success, so escalation counts consecutive
   // failures of the current episode, never a task's lifetime kills.
-  std::unique_ptr<fault::FaultInjector> injector_;
-  // vine-snapshot: derived(intent flag; the disconnect it labels is an event replay reproduces)
-  std::vector<bool> pending_crash_;
-  // vine-snapshot: derived(intent flag; the disconnect it labels is an event replay reproduces)
-  std::vector<bool> pending_release_;
-  std::vector<std::uint32_t> reset_counts_;
   fault::BackoffLedger<TaskId> transfer_backoff_;
   fault::BackoffLedger<TaskId> sink_backoff_;
-  std::size_t lineage_resets_ = 0;
 
-  // Manager-HA state (see vine_run.cpp for the scheme; dd mirrors it).
-  // vine-snapshot: derived(sizing re-derived from queue depth each poll)
-  std::unique_ptr<ha::Factory> factory_;
-  std::uint64_t snapshot_seq_ = 0;
-
-  exec::RunReport report_;
   // vine-snapshot: derived(fixed at startup from cluster spec)
   std::uint32_t cores_per_node_ = 1;
   // vine-snapshot: derived(fixed at startup from cluster spec)
   std::uint64_t mem_per_proc_ = 0;
-  std::size_t sinks_outstanding_ = 0;
-  std::size_t total_attempts_ = 0;
   std::int32_t rr_cursor_ = 0;
   // vine-snapshot: derived(re-entrancy latch, always false between events)
   bool pumping_ = false;
-  // vine-snapshot: derived(teardown latch; no snapshots are taken after finish)
-  bool finished_ = false;
 };
 
 }  // namespace

@@ -14,6 +14,12 @@
 // cancellation, because cancelling a flow destroys its callback. Tokens
 // co-own the gate's state, so they remain safe even if the FlowGate object
 // itself is destroyed first.
+//
+// A closed gate never calls a starter again: a token released into it
+// only gives its slot back, and its queued starters are dropped uncalled
+// when the gate is destroyed. Destroying a gate closes it, so a token that
+// outlives its gate (held by a flow the network destroys later) can never
+// run a starter that captured its dead owner.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +37,24 @@ class FlowGate {
   /// A limit of 0 means unbounded.
   explicit FlowGate(std::uint32_t limit)
       : state_(std::make_shared<State>(limit)) {}
+  FlowGate(const FlowGate&) = delete;
+  FlowGate& operator=(const FlowGate&) = delete;
+  ~FlowGate() {
+    close();
+    // Dropping a starter can release another token (its own gate's or
+    // another's); with this gate closed that only returns the slot.
+    std::deque<Starter> dropped;
+    dropped.swap(state_->queue);
+  }
+
+  /// Stop admitting for good. Close every gate a run owns before any of
+  /// them is destroyed: a starter queued on one may hold another's token.
+  void close() { state_->closed = true; }
 
   /// Run `fn` now if a slot is free, else queue it. `fn` receives the slot
   /// token; dropping all copies of the token frees the slot.
   void submit(Starter fn) {
+    if (state_->closed) return;
     if (state_->limit == 0) {
       fn(SlotToken{});
       return;
@@ -56,6 +76,7 @@ class FlowGate {
     std::uint32_t limit;
     std::uint32_t active = 0;
     bool pumping = false;
+    bool closed = false;
     std::deque<Starter> queue;
   };
 
@@ -64,7 +85,7 @@ class FlowGate {
   /// vanished) frees the slot mid-pump, and the loop condition simply
   /// re-admits — no recursion, no stack growth on long queues.
   static void pump(const std::shared_ptr<State>& state) {
-    if (state->pumping) return;
+    if (state->pumping || state->closed) return;
     state->pumping = true;
     while (!state->queue.empty() && state->active < state->limit) {
       Starter next = std::move(state->queue.front());

@@ -247,6 +247,20 @@ TEST(VineLintSnapshotCompleteness, SuppressionSilencesRule) {
   EXPECT_TRUE(findings.empty()) << hepvine::lint::format_findings(findings);
 }
 
+TEST(VineLintSnapshotCompleteness, WriterHookBodyIsAWriterRegion) {
+  const auto findings = lint_fixture("snapshot_completeness_hook_clean.cpp");
+  EXPECT_TRUE(findings.empty()) << hepvine::lint::format_findings(findings);
+}
+
+TEST(VineLintSnapshotCompleteness, WriterHookRegionEndsWithItsBody) {
+  const auto findings = lint_fixture("snapshot_completeness_hook_bad.cpp");
+  EXPECT_EQ(count_rule(findings, Rule::kSnapshotCompleteness), 1)
+      << hepvine::lint::format_findings(findings);
+  ASSERT_FALSE(findings.empty());
+  EXPECT_NE(findings[0].message.find("rr_cursor"), std::string::npos)
+      << findings[0].message;
+}
+
 TEST(VineLintSnapshotCompleteness, IndexCountsTypesMembersAndWriters) {
   LintOptions opts;
   opts.roots = {fixture_path("snapshot_completeness_bad.cpp")};

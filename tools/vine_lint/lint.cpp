@@ -1470,10 +1470,12 @@ void collect_state_members(const std::vector<Token>& t,
 }
 
 /// A writer region is the lexical scope from a `SnapshotBuilder <var>`
-/// declaration to the close of its enclosing block. Every identifier inside
-/// joins the serialized set: a member counts as covered when its name (or
-/// the name with the trailing '_' stripped, for accessor-style emission)
-/// appears in any region across the whole scan set.
+/// declaration to the close of its enclosing block, or the body of a
+/// function taking a `SnapshotBuilder& <var>` parameter (a writer hook that
+/// fills in part of a snapshot another writer opened). Every identifier
+/// inside joins the serialized set: a member counts as covered when its
+/// name (or the name with the trailing '_' stripped, for accessor-style
+/// emission) appears in any region across the whole scan set.
 void collect_writer_regions(const std::vector<Token>& t, SymbolIndex& idx) {
   for (std::size_t i = 0; i + 2 < t.size(); ++i) {
     if (t[i].kind != Token::kIdent || t[i].text != "SnapshotBuilder") {
@@ -1481,10 +1483,22 @@ void collect_writer_regions(const std::vector<Token>& t, SymbolIndex& idx) {
     }
     if (i > 0 && t[i - 1].text == "class") continue;  // the definition
     std::size_t j = i + 1;
-    if (j >= t.size() || t[j].kind != Token::kIdent) continue;
-    const std::string& after = t[j + 1].text;
-    if (after != ";" && after != "{" && after != "(" && after != "=") {
-      continue;  // member function qualifier, return type, etc.
+    if (t[j].text == "&" && j + 2 < t.size() &&
+        t[j + 1].kind == Token::kIdent &&
+        (t[j + 2].text == ")" || t[j + 2].text == ",")) {
+      // A by-reference parameter: the region is the function body, which
+      // opens at the first '{' (a ';' first means a bodiless declaration).
+      std::size_t k = j + 2;
+      while (k < t.size() && t[k].text != "{" && t[k].text != ";") ++k;
+      if (k >= t.size() || t[k].text == ";") continue;
+      j = k + 1;
+    } else if (t[j].kind != Token::kIdent) {
+      continue;
+    } else {
+      const std::string& after = t[j + 1].text;
+      if (after != ";" && after != "{" && after != "(" && after != "=") {
+        continue;  // member function qualifier, return type, etc.
+      }
     }
     ++idx.writer_regions;
     int depth = 0;
