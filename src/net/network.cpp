@@ -49,9 +49,13 @@ void Network::destroy_flow(FlowId id) {
   const auto idx = static_cast<std::size_t>(id - window_base_);
   const std::int32_t slot = window_[idx];
   assert(slot >= 0);
-  // Reset in place so the recycled slot starts clean and the done callback
-  // and event handles release their captures now, not at slot reuse.
-  slots_[static_cast<std::size_t>(slot)] = Flow{};
+  // Move the flow out so the recycled slot starts clean, and finish the
+  // table bookkeeping before the dead flow releases its captures (at the
+  // end of this function, not at slot reuse). Destroying the done
+  // callback can drop a gate token whose next starter calls create_flow,
+  // which may grow slots_: nothing here may touch the table after that.
+  const Flow dead = std::exchange(slots_[static_cast<std::size_t>(slot)],
+                                  Flow{});
   free_slots_.push_back(slot);
   window_[idx] = -1;
   live_flows_ -= 1;

@@ -69,14 +69,6 @@ bool ObjectStore::erase(NodeId n, FileId file) {
   return true;
 }
 
-void ObjectStore::drop_node(NodeId n) {
-  if (n < 0 || static_cast<std::size_t>(n) >= objects_.size()) return;
-  auto& node = objects_[static_cast<std::size_t>(n)];
-  for (const auto& [file, entry] : node) holder_.erase(file);
-  node.clear();
-  used_[static_cast<std::size_t>(n)] = 0;
-}
-
 FileId ObjectStore::spill_victim(NodeId n) const {
   const auto& node = objects_[static_cast<std::size_t>(n)];
   FileId victim = data::kInvalidFile;

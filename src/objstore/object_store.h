@@ -84,16 +84,12 @@ class ObjectStore {
   [[nodiscard]] std::uint64_t object_bytes(NodeId n, FileId file) const;
 
   /// Take / release a by-reference handle. Release is tolerant of an
-  /// object that was force-spilled or wiped while referenced.
+  /// object that was force-spilled or dropped while referenced.
   void add_ref(NodeId n, FileId file);
   void release_ref(NodeId n, FileId file);
 
   /// Remove the object; returns false when it was not present.
   bool erase(NodeId n, FileId file);
-
-  /// Wipe node `n`'s store (worker death). Silent, like the replica
-  /// table's drop_worker: the worker's DISCONNECTION line covers it.
-  void drop_node(NodeId n);
 
   /// The LRU *unreferenced* object on node `n` — the next spill victim —
   /// or kInvalidFile when every resident object has live references

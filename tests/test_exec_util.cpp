@@ -107,6 +107,41 @@ TEST(FlowGate, TokensOutliveGateObject) {
   SUCCEED();
 }
 
+// The teardown hazard: a flow the network destroys after its run holds
+// the last token of a gate the run owned. Releasing it must not start a
+// queued starter, which would call into the dead run.
+TEST(FlowGate, TokenReleasedAfterGateDiesStartsNoQueuedStarter) {
+  net::FlowGate::SlotToken survivor;
+  bool queued_ran = false;
+  {
+    net::FlowGate gate(1);
+    gate.submit([&](net::FlowGate::SlotToken token) {
+      survivor = std::move(token);
+    });
+    gate.submit([&](net::FlowGate::SlotToken) { queued_ran = true; });
+    EXPECT_EQ(gate.queued(), 1u);
+  }
+  survivor.reset();
+  EXPECT_FALSE(queued_ran);
+}
+
+TEST(FlowGate, ClosedGateOnlyReturnsSlots) {
+  net::FlowGate gate(1);
+  net::FlowGate::SlotToken held;
+  int started = 0;
+  gate.submit([&](net::FlowGate::SlotToken token) {
+    ++started;
+    held = std::move(token);
+  });
+  gate.submit([&](net::FlowGate::SlotToken) { ++started; });
+  gate.close();
+  held.reset();
+  EXPECT_EQ(started, 1) << "a closed gate admits nothing";
+  EXPECT_EQ(gate.active(), 0u) << "but the released slot came back";
+  gate.submit([&](net::FlowGate::SlotToken) { ++started; });
+  EXPECT_EQ(started, 1);
+}
+
 TEST(FlowGate, CopiedTokensHoldTheSlotUntilLastCopyDies) {
   net::FlowGate gate(1);
   int started = 0;

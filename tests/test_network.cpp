@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/flow_gate.h"
 #include "sim/engine.h"
 
 namespace hepvine::net {
@@ -348,6 +349,33 @@ TEST_F(NetFixture, FlowIdsStayUniqueAndValidAcrossSlotReuse) {
     EXPECT_EQ(net.flow_rate(id), 0.0);
   }
   EXPECT_EQ(net.active_flows(), 0u);
+}
+
+// Cancelling a flow destroys its done callback, and with it the last copy
+// of a gate token. The token admits the gate's next starter right there,
+// from inside destroy_flow; that starter opening enough flows to grow the
+// slot table must not pull the table out from under the cancellation.
+TEST_F(NetFixture, GateStarterReenteredFromCancelMayGrowFlowTable) {
+  const LinkId a = net.add_link("a", 1e9);
+  FlowGate gate(1);
+  FlowId first = kInvalidFlow;
+  gate.submit([&](FlowGate::SlotToken token) {
+    first = net.start_flow({a}, 1'000'000, 0,
+                           [token = std::move(token)](FlowId) {});
+  });
+  std::vector<FlowId> started;
+  gate.submit([&](FlowGate::SlotToken) {
+    for (int i = 0; i < 256; ++i) {
+      started.push_back(net.start_flow({a}, 1'000, 0, [](FlowId) {}));
+    }
+  });
+  ASSERT_TRUE(started.empty()) << "second starter waits for the slot";
+  net.cancel_flow(first);
+  EXPECT_EQ(started.size(), 256u);
+  EXPECT_EQ(net.active_flows(), 256u);
+  engine.run();
+  EXPECT_EQ(net.flows_completed(), 256u);
+  EXPECT_EQ(net.flows_cancelled(), 1u);
 }
 
 TEST_F(NetFixture, IncrementalRecomputeVisitsOnlyTouchedComponent) {

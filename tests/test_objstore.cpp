@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -79,17 +81,19 @@ TEST(ObjectStore, VictimTiebreakIsSmallestFileId) {
   EXPECT_EQ(store.spill_victim(0), 2);
 }
 
-TEST(ObjectStore, DropNodeWipesSilently) {
+TEST(ObjectStore, ReleaseAfterDropIsTolerated) {
   ObjectStore store;
   store.reset(3, 100);
   store.put(1, 8, 10, 1);
   store.put(1, 9, 10, 2);
   store.add_ref(1, 8);
-  store.drop_node(1);
+  // The holder died: its objects are dropped one by one, refs or not.
+  EXPECT_TRUE(store.erase(1, 8));
+  EXPECT_TRUE(store.erase(1, 9));
   EXPECT_EQ(store.total_objects(), 0u);
   EXPECT_EQ(store.used(1), 0u);
   EXPECT_EQ(store.holder_of(8), objstore::kNoHolder);
-  // Release after a wipe must be tolerated: the consumer attempt that
+  // Release after the drop must be tolerated: the consumer attempt that
   // held the handle dies asynchronously.
   store.release_ref(1, 8);
   EXPECT_EQ(store.spill_victim(1), data::kInvalidFile);
@@ -178,6 +182,47 @@ TEST(ObjectStoreRun, ZeroCopyExchangeKeepsResultsAndIsNotSlower) {
   EXPECT_EQ(ss.refs, on.report.store_ref_hits);
   EXPECT_EQ(ss.spills, on.report.store_spills);
   EXPECT_EQ(ss.drops, on.report.store_drops);
+}
+
+// A preempted holder's in-memory objects die with it, and each must still
+// close its PUT with a counted DROP: the ledger balances under holder loss
+// exactly as it does without it.
+TEST(ObjectStoreRun, HolderLossDropsKeepTheLedgerBalanced) {
+  const apps::WorkloadSpec workload = tiny_dv3();
+  const dag::TaskGraph graph = apps::build_workload(workload, 3);
+  cluster::Cluster cluster(tiny_cluster(/*workers=*/4,
+                                        /*preempt_per_hour=*/120.0));
+  VineTunables tun;
+  tun.object_store = true;
+  VineScheduler scheduler(taskvine_policy(), tun);
+  const exec::RunReport report =
+      scheduler.run(graph, cluster, store_options());
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  EXPECT_EQ(sink_digest(report), reference_digest(graph));
+  EXPECT_GT(report.worker_preemptions, 0u);
+  EXPECT_EQ(report.store_puts, report.store_spills + report.store_drops);
+
+  const auto events =
+      obs::txnq::parse_log(report.observation->txn().text());
+  const auto ss = obs::txnq::store_summary(events);
+  EXPECT_EQ(ss.puts, ss.spills + ss.drops);
+  EXPECT_EQ(ss.drops, report.store_drops);
+
+  // Not vacuous: some DROP lands on the tick its holder disconnected.
+  std::set<std::pair<util::Tick, std::string>> disconnects;
+  for (const auto& e : events) {
+    if (e.subject == "WORKER" && e.verb == "DISCONNECTION") {
+      disconnects.emplace(e.t, std::to_string(e.id));
+    }
+  }
+  std::size_t holder_loss_drops = 0;
+  for (const auto& e : events) {
+    if (e.subject == "STORE" && e.verb == "DROP" && e.rest.size() >= 2 &&
+        disconnects.count({e.t, e.rest[1]}) != 0) {
+      ++holder_loss_drops;
+    }
+  }
+  EXPECT_GT(holder_loss_drops, 0u);
 }
 
 TEST(ObjectStoreRun, StoreOffIsInert) {

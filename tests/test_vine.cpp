@@ -243,6 +243,26 @@ TEST_F(VineEndToEnd, NoPeerTransfersFallsBackToManagerRelay) {
   EXPECT_EQ(sink_digest(report), reference_digest(graph));
 }
 
+// The Cluster outlives the run: a run that fails with transfers still
+// queued on its gates leaves the network holding flows whose callbacks own
+// gate tokens, and destroying the Cluster releases them. The run's
+// shutdown closed its gates, so the queued starters, which captured the
+// dead run, are dropped instead of run.
+TEST(VineTeardown, ClusterOutlivesRunThatFailedWithQueuedTransfers) {
+  exec::RunOptions options = fast_options();
+  options.max_sim_time = util::seconds(20);
+  const dag::TaskGraph graph =
+      apps::build_workload(tiny_dv3(/*tasks=*/600, /*gb=*/300), options.seed);
+  exec::RunReport report;
+  {
+    cluster::Cluster cluster(tiny_cluster(/*workers=*/40));
+    VineScheduler scheduler;
+    report = scheduler.run(graph, cluster, options);
+  }
+  EXPECT_FALSE(report.success);
+  EXPECT_EQ(report.failure_reason, "exceeded max simulated time");
+}
+
 // Parameterized sweep: every (mode, hoist, peer) combination must produce
 // the identical physics result.
 class VineConfigMatrix
