@@ -7,6 +7,7 @@
 // Stack 3 oscillates because completions outrun dispatch; Stack 4
 // dispatches fast enough to hold steady and finishes within the window.
 #include "bench_common.h"
+#include "metrics/task_trace.h"
 
 using namespace hepvine;
 using namespace hepvine::bench;
@@ -60,7 +61,7 @@ int main() {
     std::printf("\n%s (completes at %.0fs):\n", stack.label,
                 report.makespan_seconds());
     const auto series =
-        report.trace.concurrency_series(2 * util::kSec, window);
+        metrics::concurrency_series(report.profile, 2 * util::kSec, window);
     std::printf("%s", metrics::render_concurrency(series, 10, 72).c_str());
 
     // The paper's diagnosis, re-derived from the attribution ledger: which

@@ -5,6 +5,7 @@
 // is only marginally faster at 20 workers but dramatically better at 200,
 // because invocations are cheap for the manager.
 #include "bench_common.h"
+#include "metrics/task_trace.h"
 
 using namespace hepvine;
 using namespace hepvine::bench;
@@ -61,7 +62,7 @@ int main() {
                   workers, label, report.makespan_seconds(), mean * 100,
                   report.manager_busy_fraction * 100);
       std::printf("%s",
-                  metrics::TaskTrace::render_occupancy(occupancy).c_str());
+                  metrics::render_occupancy(occupancy).c_str());
       print_blame_line("blame:", report);
     }
   }

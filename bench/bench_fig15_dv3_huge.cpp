@@ -4,6 +4,7 @@
 // Paper: TaskVine maintains high concurrency for the duration of the
 // execution until the final reduction of the graph.
 #include "bench_common.h"
+#include "metrics/task_trace.h"
 
 using namespace hepvine;
 using namespace hepvine::bench;
@@ -32,11 +33,11 @@ int main() {
 
   print_report_line("DV3-Huge", report);
   std::printf("  peak concurrency: %lld tasks (cores available: %u)\n",
-              static_cast<long long>(report.trace.peak_concurrency()),
+              static_cast<long long>(metrics::peak_concurrency(report.profile)),
               config.workers * 12);
 
-  const auto series =
-      report.trace.concurrency_series(report.makespan / 72, report.makespan);
+  const auto series = metrics::concurrency_series(
+      report.profile, report.makespan / 72, report.makespan);
   std::vector<double> running;
   std::vector<double> waiting;
   running.reserve(series.size());

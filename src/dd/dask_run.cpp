@@ -692,24 +692,16 @@ class DaskRun final : public run::RunCore {
     if (!token_valid(token)) return;
     const TaskId t = token.task;
 
-    const auto& st = table_.at(t);
-    metrics::TaskRecord rec;
-    rec.task_id = t;
-    rec.worker = node_of(pid);
-    rec.ready_at = st.ready_at;
-    rec.dispatched_at = st.dispatched_at;
-    rec.started_at = st.started_at;
-    rec.finished_at = engine_.now();
-    rec.category = graph_.task(t).spec.category;
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
-    if (trace_on() && rec.started_at > 0) {
+    const Tick started = table_.at(t).started_at;
+    if (trace_on() && started > 0) {
+      const std::string& category = graph_.task(t).spec.category;
       obs_->trace().add_span(
-          lane(cluster_.worker_endpoint(node_of(pid))), rec.category,
-          rec.category, rec.started_at, rec.finished_at - rec.started_at,
+          lane(cluster_.worker_endpoint(node_of(pid))), category, category,
+          started, engine_.now() - started,
           "{\"task\":" + std::to_string(t) + ",\"proc\":" +
               std::to_string(pid) + "}");
     }
-    report_.trace.add(std::move(rec));
     const Attempt& done = attempt_at(t);
     record_attempt_span(t, node_of(pid), done.span, done.exec_end,
                         /*failed=*/false);

@@ -6,16 +6,16 @@
 
 namespace hepvine::metrics {
 
-std::size_t TaskTrace::failures() const noexcept {
-  std::size_t n = 0;
-  for (const auto& r : records_) {
-    if (r.failed) ++n;
-  }
-  return n;
+Tick attempt_start(const obs::AttemptSpan& s) noexcept {
+  return s.exec_at >= 0 ? s.exec_at : s.dispatched_at;
 }
 
-std::vector<TaskTrace::ConcurrencyPoint> TaskTrace::concurrency_series(
-    Tick step, Tick horizon) const {
+Tick attempt_end(const obs::AttemptSpan& s) noexcept {
+  return s.failed ? s.retrieved_at : s.exec_end_at;
+}
+
+std::vector<ConcurrencyPoint> concurrency_series(const obs::SpanLog& log,
+                                                 Tick step, Tick horizon) {
   if (step <= 0) step = util::kSec;
   // Event-sweep: +1 running at started, -1 at finished; waiting between
   // ready and started.
@@ -25,11 +25,11 @@ std::vector<TaskTrace::ConcurrencyPoint> TaskTrace::concurrency_series(
     int waiting = 0;
   };
   std::vector<Delta> deltas;
-  deltas.reserve(records_.size() * 3);
-  for (const auto& r : records_) {
-    deltas.push_back({r.ready_at, 0, +1});
-    deltas.push_back({r.started_at, +1, -1});
-    deltas.push_back({r.finished_at, -1, 0});
+  deltas.reserve(log.attempts().size() * 3);
+  for (const auto& a : log.attempts()) {
+    deltas.push_back({a.ready_at, 0, +1});
+    deltas.push_back({attempt_start(a), +1, -1});
+    deltas.push_back({attempt_end(a), -1, 0});
   }
   std::sort(deltas.begin(), deltas.end(),
             [](const Delta& a, const Delta& b) { return a.t < b.t; });
@@ -50,16 +50,16 @@ std::vector<TaskTrace::ConcurrencyPoint> TaskTrace::concurrency_series(
   return out;
 }
 
-std::int64_t TaskTrace::peak_concurrency() const {
+std::int64_t peak_concurrency(const obs::SpanLog& log) {
   struct Delta {
     Tick t = 0;
     int d = 0;
   };
   std::vector<Delta> deltas;
-  deltas.reserve(records_.size() * 2);
-  for (const auto& r : records_) {
-    deltas.push_back({r.started_at, +1});
-    deltas.push_back({r.finished_at, -1});
+  deltas.reserve(log.attempts().size() * 2);
+  for (const auto& a : log.attempts()) {
+    deltas.push_back({attempt_start(a), +1});
+    deltas.push_back({attempt_end(a), -1});
   }
   std::sort(deltas.begin(), deltas.end(), [](const Delta& a, const Delta& b) {
     if (a.t != b.t) return a.t < b.t;
@@ -74,18 +74,18 @@ std::int64_t TaskTrace::peak_concurrency() const {
   return peak;
 }
 
-std::vector<double> TaskTrace::worker_occupancy(std::int32_t workers, Tick t0,
-                                                Tick t1) const {
+std::vector<double> worker_occupancy(const obs::SpanLog& log,
+                                     std::int32_t workers, Tick t0, Tick t1) {
   std::vector<double> out(static_cast<std::size_t>(std::max(workers, 0)), 0.0);
   if (t1 <= t0 || workers <= 0) return out;
   // Per-worker interval union via sweep.
   std::vector<std::vector<std::pair<Tick, Tick>>> intervals(
       static_cast<std::size_t>(workers));
-  for (const auto& r : records_) {
-    if (r.worker < 0 || r.worker >= workers) continue;
-    const Tick a = std::max(r.started_at, t0);
-    const Tick b = std::min(r.finished_at, t1);
-    if (b > a) intervals[static_cast<std::size_t>(r.worker)].emplace_back(a, b);
+  for (const auto& s : log.attempts()) {
+    if (s.worker < 0 || s.worker >= workers) continue;
+    const Tick a = std::max(attempt_start(s), t0);
+    const Tick b = std::min(attempt_end(s), t1);
+    if (b > a) intervals[static_cast<std::size_t>(s.worker)].emplace_back(a, b);
   }
   for (std::size_t w = 0; w < intervals.size(); ++w) {
     auto& ivs = intervals[w];
@@ -108,16 +108,17 @@ std::vector<double> TaskTrace::worker_occupancy(std::int32_t workers, Tick t0,
   return out;
 }
 
-std::vector<TaskTrace::TimeBucket> TaskTrace::exec_time_histogram(
-    double lo_sec, double hi_sec, int buckets_per_decade) const {
+std::vector<TimeBucket> exec_time_histogram(const obs::SpanLog& log,
+                                            double lo_sec, double hi_sec,
+                                            int buckets_per_decade) {
   std::vector<TimeBucket> buckets;
   const double ratio = std::pow(10.0, 1.0 / buckets_per_decade);
   for (double lo = lo_sec; lo < hi_sec; lo *= ratio) {
     buckets.push_back({lo, lo * ratio, 0});
   }
-  for (const auto& r : records_) {
-    if (r.failed) continue;
-    const double secs = util::to_seconds(r.exec_time());
+  for (const auto& a : log.attempts()) {
+    if (a.failed) continue;
+    const double secs = util::to_seconds(attempt_end(a) - attempt_start(a));
     for (auto& b : buckets) {
       if (secs >= b.lo_sec && secs < b.hi_sec) {
         ++b.count;
@@ -128,8 +129,8 @@ std::vector<TaskTrace::TimeBucket> TaskTrace::exec_time_histogram(
   return buckets;
 }
 
-std::string TaskTrace::render_histogram(const std::vector<TimeBucket>& buckets,
-                                        std::size_t width) {
+std::string render_histogram(const std::vector<TimeBucket>& buckets,
+                             std::size_t width) {
   std::uint64_t maxc = 1;
   for (const auto& b : buckets) maxc = std::max(maxc, b.count);
   std::string out;
@@ -148,8 +149,8 @@ std::string TaskTrace::render_histogram(const std::vector<TimeBucket>& buckets,
   return out;
 }
 
-std::string TaskTrace::render_occupancy(const std::vector<double>& occupancy,
-                                        std::size_t width) {
+std::string render_occupancy(const std::vector<double>& occupancy,
+                             std::size_t width) {
   static constexpr char kRamp[] = " .:-=+*#%@";
   if (occupancy.empty()) return "(no workers)\n";
   const std::size_t stride = (occupancy.size() + width - 1) / width;
@@ -167,44 +168,6 @@ std::string TaskTrace::render_occupancy(const std::vector<double>& occupancy,
     out += kRamp[level];
   }
   out += "]\n";
-  return out;
-}
-
-std::string TaskTrace::to_csv() const {
-  std::string out =
-      "task_id,worker,ready_us,dispatched_us,started_us,finished_us,failed,"
-      "category\n";
-  for (const auto& r : records_) {
-    out += std::to_string(r.task_id) + "," + std::to_string(r.worker) + "," +
-           std::to_string(r.ready_at) + "," + std::to_string(r.dispatched_at) +
-           "," + std::to_string(r.started_at) + "," +
-           std::to_string(r.finished_at) + "," + (r.failed ? "1" : "0") + "," +
-           r.category + "\n";
-  }
-  return out;
-}
-
-std::map<std::string, TaskTrace::CategoryStats> TaskTrace::category_stats()
-    const {
-  std::map<std::string, std::vector<double>> times;
-  for (const auto& r : records_) {
-    if (r.failed) continue;
-    times[r.category].push_back(util::to_seconds(r.exec_time()));
-  }
-  std::map<std::string, CategoryStats> out;
-  for (auto& [category, values] : times) {
-    std::sort(values.begin(), values.end());
-    CategoryStats stats;
-    stats.count = values.size();
-    double sum = 0;
-    for (double v : values) sum += v;
-    stats.mean_sec = sum / static_cast<double>(values.size());
-    stats.median_sec = values[values.size() / 2];
-    stats.p95_sec =
-        values[std::min(values.size() - 1, (values.size() * 95) / 100)];
-    stats.max_sec = values.back();
-    out.emplace(category, stats);
-  }
   return out;
 }
 
@@ -246,9 +209,8 @@ std::string render_series(const std::vector<double>& values,
   return out;
 }
 
-std::string render_concurrency(
-    const std::vector<TaskTrace::ConcurrencyPoint>& series, std::size_t height,
-    std::size_t width) {
+std::string render_concurrency(const std::vector<ConcurrencyPoint>& series,
+                               std::size_t height, std::size_t width) {
   if (series.empty()) return "(no data)\n";
   std::int64_t maxv = 1;
   for (const auto& p : series) {

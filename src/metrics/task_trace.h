@@ -1,107 +1,73 @@
-// Per-task execution records and the derived views the paper plots:
+// The per-task views the paper plots, derived from the attempt spans of
+// obs::SpanLog (one record per attempt, shared with the blame ledger and
+// the critical path):
 //  * task-runtime distributions (Fig 8),
 //  * running/waiting concurrency over time (Figs 12, 15),
 //  * worker-occupancy charts (Fig 13).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "obs/span.h"
 #include "util/units.h"
 
 namespace hepvine::metrics {
 
 using util::Tick;
 
-struct TaskRecord {
-  std::int64_t task_id = -1;
-  std::int32_t worker = -1;       // -1 = not placed
-  Tick ready_at = 0;              // became dispatchable
-  Tick dispatched_at = 0;         // sent to a worker
-  Tick started_at = 0;            // began executing (deps staged)
-  Tick finished_at = 0;           // result available to the manager
-  bool failed = false;            // this attempt failed (e.g. preemption)
-  std::string category;           // e.g. "process", "accumulate"
+/// An attempt's execution interval as every view sees it. It starts when
+/// the worker process started (`exec_at`), or at dispatch for an attempt
+/// that failed before that. A success ends at process exit (`exec_end_at`)
+/// so manager ingestion backlog never counts as task time; a failure ends
+/// when the manager observed it (`retrieved_at`).
+[[nodiscard]] Tick attempt_start(const obs::AttemptSpan& s) noexcept;
+[[nodiscard]] Tick attempt_end(const obs::AttemptSpan& s) noexcept;
 
-  [[nodiscard]] Tick exec_time() const noexcept {
-    return finished_at - started_at;
-  }
-  [[nodiscard]] Tick turnaround() const noexcept {
-    return finished_at - ready_at;
-  }
+/// Concurrency sample: how many tasks run / wait at time t.
+struct ConcurrencyPoint {
+  Tick t = 0;
+  std::int64_t running = 0;
+  std::int64_t waiting = 0;  // ready but not yet started
 };
 
-class TaskTrace {
- public:
-  void add(TaskRecord rec) { records_.push_back(std::move(rec)); }
-  [[nodiscard]] const std::vector<TaskRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  [[nodiscard]] std::size_t failures() const noexcept;
+/// Sample running/waiting counts every `step` ticks over [0, horizon].
+[[nodiscard]] std::vector<ConcurrencyPoint> concurrency_series(
+    const obs::SpanLog& log, Tick step, Tick horizon);
 
-  /// Concurrency sample: how many tasks run / wait at time t.
-  struct ConcurrencyPoint {
-    Tick t = 0;
-    std::int64_t running = 0;
-    std::int64_t waiting = 0;  // ready but not yet started
-  };
+/// Peak number of simultaneously running tasks.
+[[nodiscard]] std::int64_t peak_concurrency(const obs::SpanLog& log);
 
-  /// Sample running/waiting counts every `step` ticks over [0, horizon].
-  [[nodiscard]] std::vector<ConcurrencyPoint> concurrency_series(
-      Tick step, Tick horizon) const;
+/// Fraction of [t0, t1] during which each worker ran at least one task;
+/// index = worker id. Workers never used have occupancy 0.
+[[nodiscard]] std::vector<double> worker_occupancy(const obs::SpanLog& log,
+                                                   std::int32_t workers,
+                                                   Tick t0, Tick t1);
 
-  /// Peak number of simultaneously running tasks.
-  [[nodiscard]] std::int64_t peak_concurrency() const;
-
-  /// Fraction of [t0, t1] during which each worker ran at least one task;
-  /// index = worker id. Workers never used have occupancy 0.
-  [[nodiscard]] std::vector<double> worker_occupancy(std::int32_t workers,
-                                                     Tick t0, Tick t1) const;
-
-  /// Log-spaced histogram of successful-task execution times. Buckets are
-  /// decades/sub-decades between `lo` and `hi` seconds.
-  struct TimeBucket {
-    double lo_sec = 0;
-    double hi_sec = 0;
-    std::uint64_t count = 0;
-  };
-  [[nodiscard]] std::vector<TimeBucket> exec_time_histogram(
-      double lo_sec = 0.01, double hi_sec = 1000.0,
-      int buckets_per_decade = 4) const;
-
-  /// Render an ASCII bar chart of the execution-time histogram.
-  [[nodiscard]] static std::string render_histogram(
-      const std::vector<TimeBucket>& buckets, std::size_t width = 50);
-
-  /// Render worker occupancy as an ASCII strip (one char per worker group).
-  [[nodiscard]] static std::string render_occupancy(
-      const std::vector<double>& occupancy, std::size_t width = 64);
-
-  [[nodiscard]] std::string to_csv() const;
-
-  /// Execution-time statistics for one task category.
-  struct CategoryStats {
-    std::size_t count = 0;
-    double mean_sec = 0;
-    double median_sec = 0;
-    double p95_sec = 0;
-    double max_sec = 0;
-  };
-
-  /// Per-category statistics over successful records.
-  [[nodiscard]] std::map<std::string, CategoryStats> category_stats() const;
-
- private:
-  std::vector<TaskRecord> records_;
+/// Log-spaced histogram of successful-task execution times. Buckets are
+/// decades/sub-decades between `lo` and `hi` seconds.
+struct TimeBucket {
+  double lo_sec = 0;
+  double hi_sec = 0;
+  std::uint64_t count = 0;
 };
+[[nodiscard]] std::vector<TimeBucket> exec_time_histogram(
+    const obs::SpanLog& log, double lo_sec = 0.01, double hi_sec = 1000.0,
+    int buckets_per_decade = 4);
+
+/// Render an ASCII bar chart of the execution-time histogram.
+[[nodiscard]] std::string render_histogram(
+    const std::vector<TimeBucket>& buckets, std::size_t width = 50);
+
+/// Render worker occupancy as an ASCII strip (one char per worker group).
+[[nodiscard]] std::string render_occupancy(
+    const std::vector<double>& occupancy, std::size_t width = 64);
 
 /// Render a two-series (running / waiting) ASCII timeline.
 [[nodiscard]] std::string render_concurrency(
-    const std::vector<TaskTrace::ConcurrencyPoint>& series,
-    std::size_t height = 12, std::size_t width = 72);
+    const std::vector<ConcurrencyPoint>& series, std::size_t height = 12,
+    std::size_t width = 72);
 
 /// Render a single series (e.g. running tasks only) on its own scale.
 [[nodiscard]] std::string render_series(const std::vector<double>& values,

@@ -76,7 +76,9 @@ exec::RunReport RunCore::execute() {
   }
   report_.worker_preemptions = cluster_.batch().preemptions();
   report_.task_attempts = total_attempts_;
-  report_.task_failures = report_.trace.failures();
+  report_.task_failures = static_cast<std::size_t>(std::count_if(
+      report_.profile.attempts().begin(), report_.profile.attempts().end(),
+      [](const obs::AttemptSpan& s) { return s.failed; }));
   report_.lineage_resets = lineage_resets_;
   if (report_.makespan > 0) {
     report_.manager_busy_fraction_legacy =
@@ -299,25 +301,15 @@ bool RunCore::record_failed_attempt(TaskId t) {
   if (st.state != TaskState::kDispatched && st.state != TaskState::kRunning) {
     return false;
   }
-  metrics::TaskRecord rec;
-  rec.task_id = t;
-  rec.worker = st.worker;
-  rec.ready_at = st.ready_at;
-  rec.dispatched_at = st.dispatched_at;
-  rec.started_at =
-      st.state == TaskState::kRunning ? st.started_at : st.dispatched_at;
-  rec.finished_at = engine_.now();
-  rec.failed = true;
-  rec.category = graph_.task(t).spec.category;
   if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
   if (trace_on() && st.worker != cluster::kNoWorker &&
       st.state == TaskState::kRunning) {
+    const std::string& category = graph_.task(t).spec.category;
     obs_->trace().add_span(
-        lane(cluster_.worker_endpoint(st.worker)), rec.category + " (failed)",
-        rec.category, rec.started_at, rec.finished_at - rec.started_at,
+        lane(cluster_.worker_endpoint(st.worker)), category + " (failed)",
+        category, st.started_at, engine_.now() - st.started_at,
         "{\"task\":" + std::to_string(t) + ",\"failed\":true}");
   }
-  report_.trace.add(std::move(rec));
   return true;
 }
 

@@ -140,8 +140,8 @@ class RunCore {
   bool crash_worker(WorkerId w);
   void forget_flow(net::FlowId flow);
 
-  /// Record the failed current attempt of `t` (trace entry, FAILURE txn
-  /// line, failed trace span). Returns false when `t` has no live attempt.
+  /// Record the failed current attempt of `t` (FAILURE txn line, failed
+  /// Chrome-trace span). Returns false when `t` has no live attempt.
   bool record_failed_attempt(TaskId t);
   /// Close a failed attempt: fail the run past the retry limit, else
   /// requeue `t` when asked.

@@ -43,6 +43,15 @@ inline exec::RunOptions fast_options() {
   return options;
 }
 
+/// The successful attempt of `t` in the report's span log, or nullptr.
+inline const obs::AttemptSpan* find_success(const exec::RunReport& report,
+                                            dag::TaskId t) {
+  for (const auto& a : report.profile.attempts()) {
+    if (a.task == t && !a.failed) return &a;
+  }
+  return nullptr;
+}
+
 /// Digest of the single sink result of a report.
 inline util::Digest128 sink_digest(const exec::RunReport& report) {
   EXPECT_EQ(report.results.size(), 1u);

@@ -153,15 +153,15 @@ TEST(Integration, TraceAccountsForEveryTask) {
   vine::VineScheduler scheduler;
   const auto report = scheduler.run(graph, cluster, options);
   ASSERT_TRUE(report.success);
-  // Every task has exactly one successful trace record; timestamps are
-  // ordered ready <= dispatched <= started <= finished.
+  // Every task has exactly one successful attempt; timestamps are ordered
+  // ready <= dispatched <= exec < exec_end.
   std::size_t successes = 0;
-  for (const auto& rec : report.trace.records()) {
+  for (const auto& rec : report.profile.attempts()) {
     if (rec.failed) continue;
     ++successes;
     EXPECT_LE(rec.ready_at, rec.dispatched_at);
-    EXPECT_LE(rec.dispatched_at, rec.started_at);
-    EXPECT_LT(rec.started_at, rec.finished_at);
+    EXPECT_LE(rec.dispatched_at, rec.exec_at);
+    EXPECT_LT(rec.exec_at, rec.exec_end_at);
     EXPECT_GE(rec.worker, 0);
   }
   EXPECT_EQ(successes, graph.size());

@@ -200,13 +200,13 @@ TEST(DispatchFallback, OverflowDispatchSparesWorkerWithCommittedBytes) {
 
   ASSERT_FALSE(report.success);
   EXPECT_EQ(report.worker_crashes, 1u);
-  const metrics::TaskRecord* small_rec = nullptr;
-  const metrics::TaskRecord* doomed_rec = nullptr;
+  const obs::AttemptSpan* small_rec = nullptr;
+  const obs::AttemptSpan* doomed_rec = nullptr;
   bool blob_failed = false;
-  for (const auto& rec : report.trace.records()) {
-    if (rec.task_id == t_small && !rec.failed) small_rec = &rec;
-    if (rec.task_id == t_doomed) doomed_rec = &rec;
-    if (rec.task_id == t_blob && rec.failed) blob_failed = true;
+  for (const auto& rec : report.profile.attempts()) {
+    if (rec.task == t_small && !rec.failed) small_rec = &rec;
+    if (rec.task == t_doomed) doomed_rec = &rec;
+    if (rec.task == t_blob && rec.failed) blob_failed = true;
   }
   ASSERT_NE(small_rec, nullptr);
   ASSERT_NE(doomed_rec, nullptr);
