@@ -87,26 +87,4 @@ std::string CacheTrace::render(Tick horizon, std::size_t width,
   return out;
 }
 
-std::string CacheTrace::to_csv() const {
-  std::string out = "t_us,worker,bytes\n";
-  for (const auto& s : samples_) {
-    out += std::to_string(s.t) + "," + std::to_string(s.worker) + "," +
-           std::to_string(s.bytes) + "\n";
-  }
-  return out;
-}
-
-std::string CacheTrace::events_csv() const {
-  std::string out = "t_us,worker,kind,bytes\n";
-  for (const auto& f : failures_) {
-    out += std::to_string(f.t) + "," + std::to_string(f.worker) +
-           ",failure,0\n";
-  }
-  for (const auto& e : evictions_) {
-    out += std::to_string(e.t) + "," + std::to_string(e.worker) +
-           ",eviction," + std::to_string(e.bytes) + "\n";
-  }
-  return out;
-}
-
 }  // namespace hepvine::metrics

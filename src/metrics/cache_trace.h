@@ -23,24 +23,10 @@ class CacheTrace {
   void mark_failure(std::size_t worker, Tick t) {
     failures_.push_back({t, worker});
   }
-  /// A pressure eviction freed `bytes` on `worker` — the mitigation path
-  /// that, when enabled, replaces the failure marks above (Fig 11's
-  /// eviction-on ablation).
-  void mark_eviction(std::size_t worker, Tick t, std::uint64_t bytes) {
-    evictions_.push_back({t, worker, bytes});
-  }
 
   [[nodiscard]] std::size_t workers() const noexcept { return workers_; }
   [[nodiscard]] std::size_t failure_count() const noexcept {
     return failures_.size();
-  }
-  [[nodiscard]] std::size_t eviction_count() const noexcept {
-    return evictions_.size();
-  }
-  [[nodiscard]] std::uint64_t evicted_bytes() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& e : evictions_) total += e.bytes;
-    return total;
   }
 
   /// Peak usage per worker (bytes); index = worker.
@@ -59,13 +45,6 @@ class CacheTrace {
   [[nodiscard]] std::string render(Tick horizon, std::size_t width = 64,
                                    std::size_t max_rows = 20) const;
 
-  [[nodiscard]] std::string to_csv() const;
-
-  /// Discrete cache events (worker failures, pressure evictions) as CSV:
-  /// `t_us,worker,kind,bytes` — failures first, then evictions, each group
-  /// in record order.
-  [[nodiscard]] std::string events_csv() const;
-
  private:
   struct Sample {
     Tick t = 0;
@@ -76,15 +55,9 @@ class CacheTrace {
     Tick t = 0;
     std::size_t worker = 0;
   };
-  struct Eviction {
-    Tick t = 0;
-    std::size_t worker = 0;
-    std::uint64_t bytes = 0;
-  };
   std::size_t workers_ = 0;
   std::vector<Sample> samples_;
   std::vector<Failure> failures_;
-  std::vector<Eviction> evictions_;
 };
 
 }  // namespace hepvine::metrics

@@ -92,18 +92,4 @@ std::string TransferMatrix::render_heatmap(std::size_t cells) const {
   return out;
 }
 
-std::string TransferMatrix::to_csv() const {
-  std::string out = "src,dst,bytes\n";
-  for (std::size_t s = 0; s < n_; ++s) {
-    for (std::size_t d = 0; d < n_; ++d) {
-      const std::uint64_t v = at(s, d);
-      if (v) {
-        out += std::to_string(s) + "," + std::to_string(d) + "," +
-               std::to_string(v) + "\n";
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace hepvine::metrics

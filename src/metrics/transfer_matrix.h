@@ -48,9 +48,6 @@ class TransferMatrix {
   /// axis. Intensity characters scale with log(bytes).
   [[nodiscard]] std::string render_heatmap(std::size_t cells = 32) const;
 
-  /// Dump as CSV: src,dst,bytes (nonzero cells only).
-  [[nodiscard]] std::string to_csv() const;
-
  private:
   std::size_t n_ = 0;
   std::vector<std::uint64_t> cells_;

@@ -13,8 +13,9 @@
 // (obs/critical_path.h) without re-running anything.
 //
 // SpanLog is embedded by value in exec::RunReport and always on: recording
-// is a push_back per attempt/flow/drop, cheap enough to leave enabled like
-// metrics::TaskTrace. The log serializes to a line-oriented text format
+// is a push_back per attempt/flow/drop. It is the only per-attempt record;
+// the task views (metrics/task_trace.h) are derived from it. The log
+// serializes to a line-oriented text format
 // (".spans") that round-trips exactly, so the `vine_profile` CLI and CI
 // replay gates operate on files; a run's serialized log is bit-identical
 // across replays under the determinism contract (DESIGN.md §5).
