@@ -64,6 +64,7 @@ struct Result {
   std::uint64_t bytes_completed = 0;
   std::uint64_t recomputes = 0;
   std::uint64_t flow_visits = 0;
+  std::uint64_t waterfill_passes = 0;
   std::uint64_t engine_events = 0;
   Tick end_tick = 0;
   [[nodiscard]] double flow_events_per_sec() const {
@@ -108,6 +109,7 @@ class Campaign {
     r.bytes_completed = net_.total_bytes_completed();
     r.recomputes = net_.recomputes();
     r.flow_visits = net_.recompute_flow_visits();
+    r.waterfill_passes = net_.waterfill_passes();
     r.engine_events = engine_.executed();
     r.end_tick = engine_.now();
     return r;
@@ -155,11 +157,12 @@ class Campaign {
 void print_result(const char* label, const Result& r) {
   std::printf(
       "  %-12s wall %8.3f s   flows %8llu   recomputes %9llu   "
-      "flow-visits %12llu   flow-events/s %12.0f\n",
+      "flow-visits %12llu   wf-passes %11llu   flow-events/s %12.0f\n",
       label, r.wall_seconds,
       static_cast<unsigned long long>(r.flows_completed),
       static_cast<unsigned long long>(r.recomputes),
       static_cast<unsigned long long>(r.flow_visits),
+      static_cast<unsigned long long>(r.waterfill_passes),
       r.flow_events_per_sec());
 }
 
@@ -171,6 +174,7 @@ void json_result(std::FILE* f, const char* key, const Result& r) {
                "    \"bytes_completed\": %llu,\n"
                "    \"recomputes\": %llu,\n"
                "    \"flow_visits\": %llu,\n"
+               "    \"waterfill_passes\": %llu,\n"
                "    \"engine_events\": %llu,\n"
                "    \"end_tick_us\": %lld,\n"
                "    \"flow_events_per_sec\": %.1f\n"
@@ -180,6 +184,7 @@ void json_result(std::FILE* f, const char* key, const Result& r) {
                static_cast<unsigned long long>(r.bytes_completed),
                static_cast<unsigned long long>(r.recomputes),
                static_cast<unsigned long long>(r.flow_visits),
+               static_cast<unsigned long long>(r.waterfill_passes),
                static_cast<unsigned long long>(r.engine_events),
                static_cast<long long>(r.end_tick),
                r.flow_events_per_sec());

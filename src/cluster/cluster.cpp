@@ -1,5 +1,6 @@
 #include "cluster/cluster.h"
 
+#include <string>
 #include <utility>
 
 namespace hepvine::cluster {
@@ -25,9 +26,10 @@ Cluster::Cluster(ClusterSpec spec) : spec_(std::move(spec)) {
   for (std::uint32_t i = 0; i < spec_.worker_count; ++i) {
     WorkerNode node;
     node.id = static_cast<WorkerId>(i);
-    node.uplink = network_->add_link("w" + std::to_string(i) + ".up",
+    const std::string name = std::string("w").append(std::to_string(i));
+    node.uplink = network_->add_link(std::string(name).append(".up"),
                                      spec_.worker.nic);
-    node.downlink = network_->add_link("w" + std::to_string(i) + ".down",
+    node.downlink = network_->add_link(std::string(name).append(".down"),
                                        spec_.worker.nic);
     node.cores = spec_.worker.cores;
     node.memory = spec_.worker.memory;

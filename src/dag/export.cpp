@@ -86,7 +86,8 @@ std::string to_json_summary(const TaskGraph& graph) {
   for (const auto& [name, count] : counts) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + escape(name) + "\": " + std::to_string(count);
+    out.append("\"").append(escape(name)).append("\": ");
+    out.append(std::to_string(count));
   }
   out += "}\n}\n";
   return out;

@@ -811,15 +811,15 @@ class DaskRun final : public run::RunCore {
         if (i) v += ",";
         v += std::to_string(holders[i]);
       }
-      v += "/" + std::to_string(info.consumers_left);
-      b.field_s("f" + std::to_string(f), v);
+      v.append("/").append(std::to_string(info.consumers_left));
+      b.field_s(std::string("f").append(std::to_string(f)), v);
     }
 
     b.section("procs");
     for (std::size_t pid = 0; pid < procs_.size(); ++pid) {
       const Proc& p = procs_[pid];
       if (!p.alive) continue;
-      b.field_s("p" + std::to_string(pid),
+      b.field_s(std::string("p").append(std::to_string(pid)),
                 "inc=" + std::to_string(p.incarnation) +
                     " busy=" + std::to_string(p.busy ? 1 : 0) +
                     " mem=" + std::to_string(p.mem_used) +

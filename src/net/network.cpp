@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -258,7 +259,14 @@ void Network::settle_flow(Flow& flow) {
   flow.last_update = now;
 }
 
-void Network::recompute_now() {
+void Network::reach_link(LinkId id) {
+  Link& link = links_[static_cast<std::size_t>(id)];
+  if (link.local >= 0) return;
+  link.local = static_cast<std::int32_t>(comp_links_.size());
+  comp_links_.push_back(id);
+}
+
+bool Network::collect_component() {
   // Collect the recompute set: the links and transferring flows whose rates
   // this pass may change. The reference path takes everything; the
   // incremental path walks the link<->flow graph from the links dirtied
@@ -268,127 +276,247 @@ void Network::recompute_now() {
   comp_links_.clear();
   comp_flows_.clear();
   if (options_.incremental_recompute) {
-    if (dirty_links_.empty()) return;
-    bfs_stack_.clear();
-    for (LinkId id : dirty_links_) {
-      Link& link = links_[static_cast<std::size_t>(id)];
-      link.dirty = false;
-      if (!link.visited) {
-        link.visited = true;
-        bfs_stack_.push_back(id);
-      }
-    }
-    dirty_links_.clear();
-    while (!bfs_stack_.empty()) {
-      const LinkId lid = bfs_stack_.back();
-      bfs_stack_.pop_back();
-      comp_links_.push_back(lid);
-      for (FlowId fid : links_[static_cast<std::size_t>(lid)].flows) {
-        Flow* flow = find_flow(fid);
-        assert(flow != nullptr && flow->transferring);
-        if (flow->in_component) continue;
-        flow->in_component = true;
-        comp_flows_.push_back(flow);
-        for (LinkId pl : flow->path) {
-          Link& p = links_[static_cast<std::size_t>(pl)];
-          if (!p.visited) {
-            p.visited = true;
-            bfs_stack_.push_back(pl);
-          }
-        }
-      }
-    }
-    // Discovery order depends on link lists; the contract below is id order.
-    std::sort(comp_flows_.begin(), comp_flows_.end(),
-              [](const Flow* a, const Flow* b) { return a->id < b->id; });
+    if (dirty_links_.empty()) return false;
+    collect_touched();
   } else {
     for (LinkId id : dirty_links_) {
       links_[static_cast<std::size_t>(id)].dirty = false;
     }
     dirty_links_.clear();
     for (std::size_t i = 0; i < links_.size(); ++i) {
-      if (links_[i].active > 0) {
-        links_[i].visited = true;
-        comp_links_.push_back(static_cast<LinkId>(i));
-      }
+      if (links_[i].active > 0) reach_link(static_cast<LinkId>(i));
     }
     for (const std::int32_t slot : window_) {
       if (slot < 0) continue;
       Flow& flow = slots_[static_cast<std::size_t>(slot)];
-      if (!flow.transferring) continue;
-      flow.in_component = true;
-      comp_flows_.push_back(&flow);  // window order == ascending id
+      if (flow.transferring) comp_flows_.push_back(&flow);  // id order
     }
   }
+  return true;
+}
+
+void Network::collect_touched() {
+  // comp_links_ doubles as the walk's queue.
+  for (LinkId id : dirty_links_) {
+    links_[static_cast<std::size_t>(id)].dirty = false;
+    reach_link(id);
+  }
+  dirty_links_.clear();
+  // Flows are marked by window index, which is id order, so the marks are
+  // also the sort key.
+  const std::size_t words = (window_.size() + 63) / 64;
+  if (id_bits_.size() < words) id_bits_.resize(words, 0);
+  std::size_t lo = window_.size();
+  std::size_t hi = 0;
+  for (std::size_t i = 0; i < comp_links_.size(); ++i) {
+    for (FlowId fid : links_[static_cast<std::size_t>(comp_links_[i])].flows) {
+      const auto idx = static_cast<std::size_t>(fid - window_base_);
+      std::uint64_t& word = id_bits_[idx / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+      if ((word & bit) != 0) continue;
+      word |= bit;
+      lo = std::min(lo, idx);
+      hi = std::max(hi, idx);
+      Flow* flow = find_flow(fid);
+      assert(flow != nullptr && flow->transferring);
+      comp_flows_.push_back(flow);
+      for (LinkId pl : flow->path) reach_link(pl);
+    }
+  }
+  // Discovery order depends on link lists; the contract below is id order.
+  // A handful of flows sorts faster than a walk over the marked id range.
+  constexpr std::size_t kSortMax = 16;
+  if (comp_flows_.size() <= kSortMax) {
+    std::sort(comp_flows_.begin(), comp_flows_.end(),
+              [](const Flow* a, const Flow* b) { return a->id < b->id; });
+    for (const Flow* flow : comp_flows_) {
+      const auto idx = static_cast<std::size_t>(flow->id - window_base_);
+      id_bits_[idx / 64] = 0;
+    }
+    return;
+  }
+  comp_flows_.clear();
+  for (std::size_t w = lo / 64; w <= hi / 64; ++w) {
+    std::uint64_t bits = std::exchange(id_bits_[w], 0);
+    while (bits != 0) {
+      const std::size_t idx =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      comp_flows_.push_back(&slots_[static_cast<std::size_t>(window_[idx])]);
+    }
+  }
+}
+
+void Network::enqueue_candidates(std::int32_t link, std::int32_t after) {
+  WaterFill& wf = wf_;
+  wf.enqueued[static_cast<std::size_t>(link)] = waterfill_passes_;
+  // The link's flows are in ascending index order: walk down to `after`.
+  const std::int32_t begin = wf.link_begin[static_cast<std::size_t>(link)];
+  for (std::int32_t p = wf.link_begin[static_cast<std::size_t>(link) + 1];
+       p > begin;) {
+    const std::int32_t k = wf.link_flows[static_cast<std::size_t>(--p)];
+    if (k <= after) break;
+    if (wf.frozen[static_cast<std::size_t>(k)] == 0) {
+      wf.candidates[static_cast<std::size_t>(k) / 64] |=
+          std::uint64_t{1} << (k % 64);
+    }
+  }
+}
+
+std::size_t Network::water_fill(bool starve) {
+  // Progressive water-filling over the recompute set. Each pass finds the
+  // most-contended link, freezes its flows at that link's fair share, and
+  // removes the consumed capacity; repeats until every flow has a rate.
+  // The freeze comparison is exact (no tolerance): that makes per-
+  // component water-filling bit-identical to the global pass — a link
+  // merely *near* another component's bottleneck must not freeze early.
+  WaterFill& wf = wf_;
+  const std::size_t nl = comp_links_.size();
+  const std::size_t nf = comp_flows_.size();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The arrays only grow, so a recompute resizes nothing in steady state.
+  // Stale `enqueued` entries hold earlier, smaller passes; the candidate
+  // bitmap is all zero between passes.
+  const auto fit = [](auto& v, std::size_t n) {
+    if (v.size() < n) v.resize(n);
+  };
+  fit(wf.capacity, nl);
+  fit(wf.unfrozen, nl);
+  fit(wf.share, nl);
+  fit(wf.enqueued, nl);
+  fit(wf.live, nl);
+  fit(wf.link_begin, nl + 1);
+  std::int32_t total = 0;  // path entries: each flow's path, summed
+  for (std::size_t j = 0; j < nl; ++j) {
+    const Link& link = links_[static_cast<std::size_t>(comp_links_[j])];
+    wf.capacity[j] = link.spec.capacity * link.scale;
+    wf.unfrozen[j] = link.active;
+    wf.share[j] = link.active > 0 ? wf.capacity[j] / wf.unfrozen[j] : kInf;
+    wf.live[j] = static_cast<std::int32_t>(j);
+    total += link.active;
+    wf.link_begin[j] = total;  // end of link j; the fill below rewinds it
+  }
+  wf.link_begin[nl] = total;
+  const std::size_t words = (nf + 63) / 64;
+  fit(wf.flow_begin, nf + 1);
+  fit(wf.flow_links, static_cast<std::size_t>(total));
+  fit(wf.link_flows, static_cast<std::size_t>(total));
+  fit(wf.frozen, nf);
+  fit(wf.candidates, words);
+  std::int32_t entry = 0;
+  for (std::size_t k = 0; k < nf; ++k) {
+    wf.flow_begin[k] = entry;
+    wf.frozen[k] = 0;
+    for (LinkId id : comp_flows_[k]->path) {
+      wf.flow_links[static_cast<std::size_t>(entry++)] =
+          links_[static_cast<std::size_t>(id)].local;
+    }
+  }
+  wf.flow_begin[nf] = entry;
+  assert(entry == total);
+  // Fill each link's flow list back to front in descending flow index, so
+  // the lists come out ascending and link_begin[j] ends at link j's start.
+  for (std::size_t k = nf; k-- > 0;) {
+    for (std::int32_t p = wf.flow_begin[k]; p < wf.flow_begin[k + 1]; ++p) {
+      const auto j = static_cast<std::size_t>(wf.flow_links[
+          static_cast<std::size_t>(p)]);
+      wf.link_flows[static_cast<std::size_t>(--wf.link_begin[j])] =
+          static_cast<std::int32_t>(k);
+    }
+  }
+
+  std::size_t pending = nf;
+  std::size_t live = nl;  // wf.live's prefix still in use
+  while (!starve && pending > 0) {
+    double bottleneck_share = kInf;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < live; ++i) {
+      const std::int32_t j = wf.live[i];
+      if (wf.unfrozen[static_cast<std::size_t>(j)] == 0) continue;
+      wf.live[kept++] = j;
+      bottleneck_share =
+          std::min(bottleneck_share, wf.share[static_cast<std::size_t>(j)]);
+    }
+    live = kept;
+    if (!std::isfinite(bottleneck_share)) break;  // defensive: no load
+    waterfill_passes_ += 1;  // also the pass's stamp in wf.enqueued
+
+    // Only a flow on a link at the bottleneck share can pass the freeze
+    // test. Those links' flows are the candidates; a link that drops to
+    // the share mid-pass adds its later flows, which a scan in id order
+    // would still reach. Earlier flows were already passed over.
+    for (std::size_t i = 0; i < live; ++i) {
+      const std::int32_t j = wf.live[i];
+      if (wf.share[static_cast<std::size_t>(j)] <= bottleneck_share) {
+        enqueue_candidates(j, -1);
+      }
+    }
+    std::size_t froze = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      // Re-read the word each time: freezing adds later candidates.
+      while (wf.candidates[w] != 0) {
+        const std::size_t k =
+            w * 64 + static_cast<std::size_t>(
+                         std::countr_zero(wf.candidates[w]));
+        wf.candidates[w] &= wf.candidates[w] - 1;
+        const auto links_begin = wf.flow_begin[k];
+        const auto links_end = wf.flow_begin[k + 1];
+        bool frozen = false;
+        for (std::int32_t p = links_begin; p < links_end; ++p) {
+          const auto j = static_cast<std::size_t>(
+              wf.flow_links[static_cast<std::size_t>(p)]);
+          if (wf.share[j] <= bottleneck_share) {
+            frozen = true;
+            break;
+          }
+        }
+        if (!frozen) continue;
+        wf.frozen[k] = 1;
+        comp_flows_[k]->rate = bottleneck_share;
+        froze += 1;
+        for (std::int32_t p = links_begin; p < links_end; ++p) {
+          const std::int32_t j = wf.flow_links[static_cast<std::size_t>(p)];
+          const auto u = static_cast<std::size_t>(j);
+          wf.capacity[u] -= bottleneck_share;
+          if (wf.capacity[u] < 0) wf.capacity[u] = 0;
+          wf.unfrozen[u] -= 1;
+          wf.share[u] =
+              wf.unfrozen[u] > 0 ? wf.capacity[u] / wf.unfrozen[u] : kInf;
+          if (wf.share[u] <= bottleneck_share &&
+              wf.enqueued[u] != waterfill_passes_) {
+            enqueue_candidates(j, static_cast<std::int32_t>(k));
+          }
+        }
+      }
+    }
+    if (froze == 0) break;  // defensive
+    pending -= froze;
+  }
+  return pending;
+}
+
+void Network::recompute_now() {
+  if (!collect_component()) return;
   recomputes_ += 1;
   recompute_flow_visits_ += comp_flows_.size();
 
   if (!comp_flows_.empty()) {
-    // Progressive water-filling over the recompute set. Each pass finds the
-    // most-contended link, freezes its flows at that link's fair share, and
-    // removes the consumed capacity; repeats until every flow has a rate.
-    // The freeze comparison is exact (no tolerance): that makes per-
-    // component water-filling bit-identical to the global pass — a link
-    // merely *near* another component's bottleneck must not freeze early.
     old_rates_.clear();
     for (Flow* flow : comp_flows_) {
       old_rates_.push_back(flow->rate);
       flow->rate = 0.0;
     }
-    for (LinkId id : comp_links_) {
-      Link& link = links_[static_cast<std::size_t>(id)];
-      link.wf_capacity = link.spec.capacity * link.scale;
-      link.wf_unfrozen = link.active;
-    }
-
-    pending_.assign(comp_flows_.begin(), comp_flows_.end());
     const bool starve_seam = debug_starve_once_;
     debug_starve_once_ = false;
-    while (!starve_seam && !pending_.empty()) {
-      double bottleneck_share = std::numeric_limits<double>::infinity();
-      for (LinkId id : comp_links_) {
-        const Link& link = links_[static_cast<std::size_t>(id)];
-        if (link.wf_unfrozen > 0) {
-          bottleneck_share = std::min(
-              bottleneck_share, link.wf_capacity / link.wf_unfrozen);
-        }
-      }
-      if (!std::isfinite(bottleneck_share)) break;  // defensive: no load
-
-      still_pending_.clear();
-      for (Flow* flow : pending_) {
-        bool frozen = false;
-        for (LinkId id : flow->path) {
-          const Link& link = links_[static_cast<std::size_t>(id)];
-          if (link.wf_unfrozen > 0 &&
-              link.wf_capacity / link.wf_unfrozen <= bottleneck_share) {
-            frozen = true;
-            break;
-          }
-        }
-        if (frozen) {
-          flow->rate = bottleneck_share;
-          for (LinkId id : flow->path) {
-            Link& link = links_[static_cast<std::size_t>(id)];
-            link.wf_capacity -= bottleneck_share;
-            if (link.wf_capacity < 0) link.wf_capacity = 0;
-            link.wf_unfrozen -= 1;
-          }
-        } else {
-          still_pending_.push_back(flow);
-        }
-      }
-      if (still_pending_.size() == pending_.size()) break;  // defensive
-      pending_.swap(still_pending_);
-    }
-
-    if (!pending_.empty()) {
+    if (water_fill(starve_seam) > 0) {
       // Water-filling failed to rate a transferring flow (a defensive break
-      // above fired). An unrated flow schedules no completion, so on a
-      // quiet network the run would hang. Self-heal: warn, re-dirty the
-      // flow's links, and retry one tick later (not this tick, which would
-      // loop); the assert makes an organic occurrence loud in debug builds.
-      for (Flow* flow : pending_) {
+      // fired). An unrated flow schedules no completion, so on a quiet
+      // network the run would hang. Self-heal: warn, re-dirty the flow's
+      // links, and retry one tick later (not this tick, which would loop);
+      // the assert makes an organic occurrence loud in debug builds.
+      for (std::size_t k = 0; k < comp_flows_.size(); ++k) {
+        if (wf_.frozen[k] != 0) continue;
+        const Flow* flow = comp_flows_[k];
         starvation_rescues_ += 1;
         warn(flow->id, "water-filling left flow unrated; rescue recompute");
         for (LinkId id : flow->path) mark_dirty(id);
@@ -470,10 +598,7 @@ void Network::recompute_now() {
     }
   }
 
-  for (LinkId id : comp_links_) {
-    links_[static_cast<std::size_t>(id)].visited = false;
-  }
-  for (Flow* flow : comp_flows_) flow->in_component = false;
+  for (LinkId id : comp_links_) links_[static_cast<std::size_t>(id)].local = -1;
 }
 
 void Network::register_stats(obs::StatsRegistry& registry,

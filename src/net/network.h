@@ -18,6 +18,20 @@
 // (see DESIGN.md "Incremental max-min recompute"), which the differential
 // tests enforce.
 //
+// Solving a component: its flows are put in ascending id order by walking
+// a bitmap over the id window (a comparison sort only for tiny
+// components), and the problem is copied into dense arrays in
+// component-local indices: remaining capacity, unfrozen count and cached
+// share per link, and flow<->link incidence both ways. Each water-filling
+// pass takes the minimum share over the links that still carry unfrozen
+// flows, then visits, in ascending id, only the candidates that can
+// freeze: the unfrozen flows of the links at that minimum, plus the
+// later-id flows of any link whose share drops to the minimum mid-pass.
+// Every candidate is re-checked with the exact `<=` predicate, so each
+// pass freezes the same flows, in the same order, with the same float
+// operations as a scan over every pending flow would; test_net_oracle
+// holds the solver to such a scan bit for bit.
+//
 // Fault injection hooks: a flow can be killed mid-stream (`fail_flow`) or
 // armed to fail once a byte offset has been carried (`arm_flow_fault`), and
 // a link's effective capacity can be scaled by a factor (`set_link_scale`,
@@ -168,8 +182,13 @@ class Network {
   }
 
   // --- recompute cost accounting -----------------------------------------
-  /// Water-filling passes executed so far.
+  /// Rate recomputes executed so far.
   [[nodiscard]] std::uint64_t recomputes() const { return recomputes_; }
+  /// Water-filling passes (bottleneck search plus freeze sweep) across all
+  /// recomputes; a deterministic measure of solver work.
+  [[nodiscard]] std::uint64_t waterfill_passes() const {
+    return waterfill_passes_;
+  }
   /// Total flows visited (settle-checked/re-rated) across all recomputes;
   /// the incremental path's work metric. The reference path visits every
   /// transferring flow every time.
@@ -205,7 +224,6 @@ class Network {
     Tick created_at = 0;   // when start_flow admitted it (span listener)
     Tick last_update = 0;  // when `remaining` was last settled
     bool transferring = false;
-    bool in_component = false;  // scratch flag owned by recompute_now
     std::function<void(FlowId)> done;
     sim::Engine::EventHandle completion;
     sim::Engine::EventHandle setup;
@@ -220,11 +238,31 @@ class Network {
     /// Ids of the transferring flows allocated here (unordered), so a
     /// recompute can walk the touched component instead of every flow.
     std::vector<FlowId> flows;
-    bool dirty = false;    // touched since the last recompute
-    bool visited = false;  // scratch flag owned by recompute_now
-    // Water-filling state, valid only inside recompute_now.
-    double wf_capacity = 0;
-    std::int32_t wf_unfrozen = 0;
+    bool dirty = false;  // touched since the last recompute
+    /// Index into comp_links_ while recompute_now runs; -1 otherwise.
+    std::int32_t local = -1;
+  };
+
+  /// The water-filling problem of one recompute, copied into dense arrays.
+  /// Links are indexed by Link::local, flows by their position in
+  /// comp_flows_ (ascending id). The arrays only grow; a recompute uses
+  /// their prefixes.
+  struct WaterFill {
+    std::vector<double> capacity;        // remaining capacity per link
+    std::vector<std::int32_t> unfrozen;  // unfrozen flows per link
+    /// capacity / unfrozen, recomputed whenever either changes; +inf once
+    /// unfrozen reaches 0, so such a link never passes the freeze test.
+    std::vector<double> share;
+    /// Last pass (a waterfill_passes_ value) whose candidates took in
+    /// this link's flows.
+    std::vector<std::uint64_t> enqueued;
+    std::vector<std::int32_t> link_begin;  // link -> flows offsets, L + 1
+    std::vector<std::int32_t> link_flows;  // ascending flow indices
+    std::vector<std::int32_t> flow_begin;  // flow -> links offsets, F + 1
+    std::vector<std::int32_t> flow_links;  // link indices in path order
+    std::vector<std::int32_t> live;  // links that had unfrozen flows
+    std::vector<std::uint8_t> frozen;  // per flow
+    std::vector<std::uint64_t> candidates;  // bitmap over flow indices
   };
 
   // --- flow table --------------------------------------------------------
@@ -243,6 +281,18 @@ class Network {
   void finish_flow(FlowId id);
   void request_recompute();
   void recompute_now();
+  /// Fill comp_links_ and comp_flows_ (ascending id) with the recompute
+  /// set; false if the incremental path has nothing to recompute.
+  bool collect_component();
+  void collect_touched();
+  void reach_link(LinkId id);
+  /// Rate comp_flows_ by progressive water-filling; returns the number of
+  /// flows left unrated (nonzero only under `starve` or after a defensive
+  /// break).
+  std::size_t water_fill(bool starve);
+  /// Add `link`'s unfrozen flows with index above `after` to the
+  /// candidates of the current pass.
+  void enqueue_candidates(std::int32_t link, std::int32_t after);
   void settle_flow(Flow& flow);
   void attribute_bytes(Flow& flow, std::uint64_t bytes);
   void release_links(Flow& flow);
@@ -282,15 +332,14 @@ class Network {
   // Scratch buffers reused across recomputes to avoid per-event allocation;
   // all dead between events, hence derived.
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<LinkId> bfs_stack_;
-  // vine-snapshot: derived(scratch, dead between events)
   std::vector<LinkId> comp_links_;
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<Flow*> comp_flows_;
+  // Component membership marks, bit `id - window_base_` per flow.
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<Flow*> pending_;
+  std::vector<std::uint64_t> id_bits_;
   // vine-snapshot: derived(scratch, dead between events)
-  std::vector<Flow*> still_pending_;
+  WaterFill wf_;
   // vine-snapshot: derived(scratch, dead between events)
   std::vector<double> old_rates_;
 
@@ -307,6 +356,8 @@ class Network {
   std::uint64_t bytes_abandoned_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recomputes_ = 0;
+  // vine-snapshot: derived(statistic, reproduced by replay)
+  std::uint64_t waterfill_passes_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)
   std::uint64_t recompute_flow_visits_ = 0;
   // vine-snapshot: derived(statistic, reproduced by replay)

@@ -448,7 +448,7 @@ void RunCore::take_snapshot() {
   for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
     const auto& st = table_.at(t);
     // One compact line per task: state/attempts/worker.
-    b.field_s("t" + std::to_string(t),
+    b.field_s(std::string("t").append(std::to_string(t)),
               std::to_string(static_cast<int>(st.state)) + "/" +
                   std::to_string(st.attempts) + "/" +
                   std::to_string(st.worker));
@@ -457,12 +457,12 @@ void RunCore::take_snapshot() {
   // poisoned-task detector's memory) and sink-gather completion bits.
   for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
     const std::uint32_t n = reset_counts_[static_cast<std::size_t>(t)];
-    if (n != 0) b.field("r" + std::to_string(t), n);
+    if (n != 0) b.field(std::string("r").append(std::to_string(t)), n);
   }
   for (TaskId t = 0; t < static_cast<TaskId>(graph_.size()); ++t) {
     if (is_sink_[static_cast<std::size_t>(t)] &&
         sink_done_[static_cast<std::size_t>(t)] != 0) {
-      b.field("s" + std::to_string(t), 1);
+      b.field(std::string("s").append(std::to_string(t)), 1);
     }
   }
 

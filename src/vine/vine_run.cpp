@@ -2441,8 +2441,8 @@ class VineRun final : public run::RunCore {
         if (i) v += ",";
         v += std::to_string(holders[i]);
       }
-      v += "/" + std::to_string(left);
-      b.field_s("f" + std::to_string(f), v);
+      v.append("/").append(std::to_string(left));
+      b.field_s(std::string("f").append(std::to_string(f)), v);
     }
 
     // Peer-slot ledger + pin sets, guarded by incarnation so a recovered
@@ -2464,7 +2464,7 @@ class VineRun final : public run::RunCore {
         first = false;
         v += std::to_string(f) + ":" + std::to_string(n);
       }
-      b.field_s("w" + std::to_string(w), v);
+      b.field_s(std::string("w").append(std::to_string(w)), v);
     }
 
     // Node-local object store: every in-memory object (holder, bytes,
@@ -2482,7 +2482,7 @@ class VineRun final : public run::RunCore {
     b.field("drops", store_.counters().drops);
     for (const objstore::StoreItem& item : store_.objects()) {
       const objstore::StoreEntry& entry = item.entry;
-      b.field_s("o" + std::to_string(item.file),
+      b.field_s(std::string("o").append(std::to_string(item.file)),
                 "w=" + std::to_string(item.holder) +
                     " b=" + std::to_string(entry.bytes) +
                     " r=" + std::to_string(entry.refs) +

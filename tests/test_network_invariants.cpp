@@ -93,8 +93,9 @@ TEST_P(RecomputePath, EveryFlowIsBottleneckedAtASaturatedLink) {
   std::vector<LinkId> up;
   std::vector<LinkId> down;
   for (int i = 0; i < 5; ++i) {
-    up.push_back(net.add_link("u" + std::to_string(i), 1e9 + 4e8 * i));
-    down.push_back(net.add_link("d" + std::to_string(i), 1.2e9 + 3e8 * i));
+    const std::string n = std::to_string(i);
+    up.push_back(net.add_link(std::string("u").append(n), 1e9 + 4e8 * i));
+    down.push_back(net.add_link(std::string("d").append(n), 1.2e9 + 3e8 * i));
   }
 
   struct Probe {
@@ -181,8 +182,9 @@ Outcome run_scenario(bool incremental) {
   std::vector<LinkId> up;
   std::vector<LinkId> down;
   for (int i = 0; i < 6; ++i) {
-    up.push_back(net.add_link("u" + std::to_string(i), 1e9 + 2e8 * i));
-    down.push_back(net.add_link("d" + std::to_string(i), 1e9 + 1.5e8 * i));
+    const std::string n = std::to_string(i);
+    up.push_back(net.add_link(std::string("u").append(n), 1e9 + 2e8 * i));
+    down.push_back(net.add_link(std::string("d").append(n), 1e9 + 1.5e8 * i));
   }
 
   Outcome out;

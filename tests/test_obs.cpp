@@ -139,7 +139,8 @@ TEST(StatsRegistry, CountersHaveStablePointers) {
   *a = 5;
   // Force growth; the first pointer must stay valid.
   for (int i = 0; i < 100; ++i) {
-    *reg.counter("c" + std::to_string(i)) = static_cast<std::uint64_t>(i);
+    *reg.counter(std::string("c").append(std::to_string(i))) =
+        static_cast<std::uint64_t>(i);
   }
   *a += 1;
   EXPECT_DOUBLE_EQ(reg.value("a"), 6.0);

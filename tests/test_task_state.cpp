@@ -19,7 +19,7 @@ dag::ValuePtr scalar(double v) {
 TaskGraph diamond() {
   TaskGraph graph;
   TaskSpec a;
-  a.category = "a";
+  a.category = std::string("a");
   graph.add_task(std::move(a));
   TaskSpec b;
   b.deps = {0};
