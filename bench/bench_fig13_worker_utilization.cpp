@@ -37,8 +37,8 @@ int main() {
       maybe_write_spans(report);
 
       // Occupancy from the attribution ledger: the share of each worker's
-      // core-seconds not blamed on idle or preemption. Unlike the old
-      // task-interval overlap estimate, this is exact and sums to the
+      // core-seconds not blamed on idle or disconnected slots. Unlike the
+      // old task-interval overlap estimate, this is exact and sums to the
       // cluster capacity by construction.
       const obs::AttributionLedger ledger = obs::attribute(report.profile);
       std::vector<double> occupancy;
@@ -47,7 +47,7 @@ int main() {
       for (const auto& w : ledger.workers) {
         const std::int64_t unused =
             w.ticks[static_cast<std::size_t>(obs::Blame::kIdle)] +
-            w.ticks[static_cast<std::size_t>(obs::Blame::kPreempted)];
+            w.ticks[static_cast<std::size_t>(obs::Blame::kDisconnected)];
         const double occ =
             w.capacity > 0 ? 1.0 - static_cast<double>(unused) /
                                        static_cast<double>(w.capacity)

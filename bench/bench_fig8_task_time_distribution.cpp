@@ -54,8 +54,8 @@ int main() {
     for (const auto& a : log.attempts()) {
       if (a.failed) continue;
       ++total;
-      const double secs = util::to_seconds(metrics::attempt_end(a) -
-                                            metrics::attempt_start(a));
+      const double secs = util::to_seconds(obs::attempt_end(a) -
+                                           obs::attempt_start(a));
       if (secs >= lo && secs < hi) ++in;
     }
     return total ? static_cast<double>(in) / static_cast<double>(total) : 0.0;

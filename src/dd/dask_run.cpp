@@ -384,7 +384,7 @@ class DaskRun final : public run::RunCore {
   // Dispatch, staging, execution.
   // --------------------------------------------------------------------
   void dispatch(TaskId t, std::int32_t pid) {
-    table_.mark_dispatched(t, node_of(pid), engine_.now());
+    table_.mark_dispatched(t, node_of(pid));
     ++total_attempts_;
     Proc& p = proc(pid);
     p.busy = true;
@@ -584,7 +584,7 @@ class DaskRun final : public run::RunCore {
     if (!token_valid(token)) return;
     // All inputs staged: the transfer episode (if any) ended in success.
     transfer_backoff_.reset(token.task);
-    table_.mark_running(token.task, engine_.now());
+    table_.mark_running(token.task);
     if (txn_on()) {
       obs_->txn().task_running(engine_.now(), token.task, node_of(pid));
     }
@@ -693,15 +693,6 @@ class DaskRun final : public run::RunCore {
     const TaskId t = token.task;
 
     if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
-    const Tick started = table_.at(t).started_at;
-    if (trace_on() && started > 0) {
-      const std::string& category = graph_.task(t).spec.category;
-      obs_->trace().add_span(
-          lane(cluster_.worker_endpoint(node_of(pid))), category, category,
-          started, engine_.now() - started,
-          "{\"task\":" + std::to_string(t) + ",\"proc\":" +
-              std::to_string(pid) + "}");
-    }
     const Attempt& done = attempt_at(t);
     record_attempt_span(t, node_of(pid), done.span, done.exec_end,
                         /*failed=*/false);

@@ -73,7 +73,7 @@ std::string summarize(const RunReport& report) {
           buf, sizeof(buf),
           "core-seconds:   %.1f capacity: compute %.1f%%, transfer-wait "
           "%.1f%%, dispatch-wait %.1f%%, import %.1f%%, recovery %.1f%%, "
-          "idle %.1f%%, preempted %.1f%%%s\n",
+          "idle %.1f%%, disconnected %.1f%%%s\n",
           static_cast<double>(ledger.capacity) /
               static_cast<double>(util::kSec),
           ledger.fraction(obs::Blame::kCompute) * 100.0,
@@ -82,7 +82,7 @@ std::string summarize(const RunReport& report) {
           ledger.fraction(obs::Blame::kImport) * 100.0,
           ledger.fraction(obs::Blame::kRecovery) * 100.0,
           ledger.fraction(obs::Blame::kIdle) * 100.0,
-          ledger.fraction(obs::Blame::kPreempted) * 100.0,
+          ledger.fraction(obs::Blame::kDisconnected) * 100.0,
           ledger.identity_ok() ? "" : "  [IDENTITY VIOLATION]");
       out += buf;
     }
@@ -128,7 +128,7 @@ std::string csv_header() {
          "cache_gc_drops,peer_slot_underflows,"
          "compute_core_s,import_core_s,transfer_wait_core_s,"
          "dispatch_wait_core_s,recovery_core_s,idle_core_s,"
-         "preempted_core_s\n";
+         "disconnected_core_s\n";
 }
 
 std::string csv_row(const RunReport& report) {
@@ -157,7 +157,7 @@ std::string csv_row(const RunReport& report) {
       blame_core_s(ledger, obs::Blame::kDispatchWait),
       blame_core_s(ledger, obs::Blame::kRecovery),
       blame_core_s(ledger, obs::Blame::kIdle),
-      blame_core_s(ledger, obs::Blame::kPreempted));
+      blame_core_s(ledger, obs::Blame::kDisconnected));
   return buf;
 }
 

@@ -6,14 +6,6 @@
 
 namespace hepvine::metrics {
 
-Tick attempt_start(const obs::AttemptSpan& s) noexcept {
-  return s.exec_at >= 0 ? s.exec_at : s.dispatched_at;
-}
-
-Tick attempt_end(const obs::AttemptSpan& s) noexcept {
-  return s.failed ? s.retrieved_at : s.exec_end_at;
-}
-
 std::vector<ConcurrencyPoint> concurrency_series(const obs::SpanLog& log,
                                                  Tick step, Tick horizon) {
   if (step <= 0) step = util::kSec;

@@ -17,14 +17,6 @@ namespace hepvine::metrics {
 
 using util::Tick;
 
-/// An attempt's execution interval as every view sees it. It starts when
-/// the worker process started (`exec_at`), or at dispatch for an attempt
-/// that failed before that. A success ends at process exit (`exec_end_at`)
-/// so manager ingestion backlog never counts as task time; a failure ends
-/// when the manager observed it (`retrieved_at`).
-[[nodiscard]] Tick attempt_start(const obs::AttemptSpan& s) noexcept;
-[[nodiscard]] Tick attempt_end(const obs::AttemptSpan& s) noexcept;
-
 /// Concurrency sample: how many tasks run / wait at time t.
 struct ConcurrencyPoint {
   Tick t = 0;

@@ -30,8 +30,8 @@ const char* to_string(Blame blame) {
       return "recovery";
     case Blame::kIdle:
       return "idle";
-    case Blame::kPreempted:
-      return "preempted";
+    case Blame::kDisconnected:
+      return "disconnected";
   }
   return "unknown";
 }
@@ -80,7 +80,7 @@ AttributionLedger attribute(const SpanLog& log) {
   for (std::size_t w = 0; w < cores.size(); ++w) {
     if (up_since[w] >= 0) ledger.workers[w].alive += makespan - up_since[w];
     WorkerAttribution& wa = ledger.workers[w];
-    wa.ticks[idx(Blame::kPreempted)] =
+    wa.ticks[idx(Blame::kDisconnected)] =
         static_cast<std::int64_t>(wa.cores) * (makespan - wa.alive);
   }
 
@@ -134,7 +134,7 @@ AttributionLedger attribute(const SpanLog& log) {
   for (WorkerAttribution& wa : ledger.workers) {
     std::int64_t occupied = 0;
     for (std::size_t c = 0; c < kBlameCount; ++c) {
-      if (c == idx(Blame::kIdle) || c == idx(Blame::kPreempted)) continue;
+      if (c == idx(Blame::kIdle) || c == idx(Blame::kDisconnected)) continue;
       occupied += wa.ticks[c];
     }
     wa.ticks[idx(Blame::kIdle)] =

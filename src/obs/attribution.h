@@ -11,7 +11,8 @@
 // replays of the same run.
 //
 // Taxonomy (one owner per core-tick, first match wins):
-//   preempted      the worker slot was configured but not connected
+//   disconnected   the worker slot was configured but no worker was
+//                  connected to it (not yet granted, or preempted)
 //   recovery       a failed attempt occupied the core (all of its span)
 //   dispatch-wait  manager serialization + control RTT before inputs moved
 //   transfer-wait  input fetch (and library/env wait) on the worker
@@ -42,7 +43,7 @@ enum class Blame : std::uint8_t {
   kDispatchWait,
   kRecovery,
   kIdle,
-  kPreempted,
+  kDisconnected,
 };
 
 inline constexpr std::size_t kBlameCount = 7;

@@ -29,10 +29,6 @@ struct ObsConfig {
   bool txn_log = true;
   bool perf_log = true;
   bool chrome_trace = true;
-  /// Emit per-attempt lifecycle spans (obs/span.h) into the Chrome trace
-  /// as nested B/E events. Off by default so existing traces stay
-  /// byte-stable; the SpanLog itself is always recorded in RunReport.
-  bool trace_lifecycle_spans = false;
   /// Max transaction lines retained in memory; older lines rotate out
   /// (they remain in `txn_path` when streaming). Default fits ~10^6-task
   /// runs' recent history without unbounded growth.

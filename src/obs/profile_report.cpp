@@ -14,7 +14,7 @@ namespace {
 constexpr Blame kAllBlames[] = {
     Blame::kCompute,     Blame::kImport,   Blame::kTransferWait,
     Blame::kDispatchWait, Blame::kRecovery, Blame::kIdle,
-    Blame::kPreempted,
+    Blame::kDisconnected,
 };
 
 constexpr std::size_t idx(Blame blame) {
@@ -172,7 +172,7 @@ std::string profile_text(const SpanLog& log, const ProfileReport& profile,
                   path.overall_speedup_bound());
     out += buf;
     for (const Blame b : kAllBlames) {
-      if (b == Blame::kIdle || b == Blame::kPreempted) continue;
+      if (b == Blame::kIdle || b == Blame::kDisconnected) continue;
       if (path.ticks[idx(b)] == 0) continue;
       const double bound = path.speedup_bound_without(b);
       if (bound > 0) {

@@ -219,4 +219,17 @@ void emit_lifecycle_trace(const SpanLog& log, ChromeTraceBuilder& trace) {
   }
 }
 
+void emit_task_lanes(const SpanLog& log, ChromeTraceBuilder& trace) {
+  for (const AttemptSpan& a : log.attempts()) {
+    if (a.exec_at < 0 || a.worker < 0) continue;
+    const std::string task = std::to_string(a.task);
+    const Tick start = attempt_start(a);
+    trace.add_span(a.worker + 1,
+                   a.failed ? a.category + " (failed)" : a.category,
+                   a.category, start, attempt_end(a) - start,
+                   a.failed ? "{\"task\":" + task + ",\"failed\":true}"
+                            : "{\"task\":" + task + "}");
+  }
+}
+
 }  // namespace hepvine::obs

@@ -14,11 +14,12 @@
 //
 // SpanLog is embedded by value in exec::RunReport and always on: recording
 // is a push_back per attempt/flow/drop. It is the only per-attempt record;
-// the task views (metrics/task_trace.h) are derived from it. The log
-// serializes to a line-oriented text format
-// (".spans") that round-trips exactly, so the `vine_profile` CLI and CI
-// replay gates operate on files; a run's serialized log is bit-identical
-// across replays under the determinism contract (DESIGN.md §5).
+// the task views (metrics/task_trace.h) and the Chrome trace's task lanes
+// (emit_task_lanes) are derived from it. The log serializes to a
+// line-oriented text format (".spans") that round-trips exactly, so the
+// `vine_profile` CLI and CI replay gates operate on files; a run's
+// serialized log is bit-identical across replays under the determinism
+// contract (DESIGN.md §5).
 //
 // Layering: obs depends only on util, so the dependency edges a critical-
 // path walk needs are copied in via set_deps rather than referencing
@@ -58,6 +59,19 @@ struct AttemptSpan {
   bool failed = false;
   std::string category;
 };
+
+/// An attempt's execution interval as every view sees it (the task views
+/// of metrics/task_trace.h and the Chrome task lanes). It starts when the
+/// worker process started (`exec_at`), or at dispatch for an attempt that
+/// failed before that. A success ends at process exit (`exec_end_at`) so
+/// manager ingestion backlog never counts as task time; a failure ends
+/// when the manager observed it (`retrieved_at`).
+[[nodiscard]] inline Tick attempt_start(const AttemptSpan& s) noexcept {
+  return s.exec_at >= 0 ? s.exec_at : s.dispatched_at;
+}
+[[nodiscard]] inline Tick attempt_end(const AttemptSpan& s) noexcept {
+  return s.failed ? s.retrieved_at : s.exec_end_at;
+}
 
 /// One wire-level flow as seen by net::Network: setup + transfer from
 /// start_flow to completion/cancellation/kill. `carried` is the bytes that
@@ -187,5 +201,12 @@ class ChromeTraceBuilder;
 /// inside it. A log with no attempts emits nothing, leaving the builder's
 /// output byte-identical.
 void emit_lifecycle_trace(const SpanLog& log, ChromeTraceBuilder& trace);
+
+/// Emit the Chrome trace's task lanes: one complete ("X") event per
+/// attempt that started a process on a worker (`exec_at >= 0`,
+/// `worker >= 0`), on lane worker + 1, over the attempt's execution
+/// interval (attempt_start/attempt_end). Failed attempts are named
+/// "<category> (failed)".
+void emit_task_lanes(const SpanLog& log, ChromeTraceBuilder& trace);
 
 }  // namespace hepvine::obs

@@ -26,10 +26,6 @@ TxnLog::TxnLog(std::size_t ring_capacity, const std::string& path)
       std::fputs("# time_us LIBRARY worker_id SENT|STARTED\n", file_);
       std::fputs("# time_us FAULT seq KIND detail\n", file_);
       std::fputs("# time_us NET flow_id WARN detail\n", file_);
-      std::fputs(
-          "# time_us SPAN task ATTEMPT attempt worker ready dispatched "
-          "staged exec compute exec_end SUCCESS|FAILURE category\n",
-          file_);
       std::fputs("# time_us SNAPSHOT seq WRITE size_bytes digest\n", file_);
       std::fputs("# time_us RECOVER seq RESTORE|REPLAY|DONE detail\n", file_);
     }
@@ -250,23 +246,6 @@ void TxnLog::net_warn(Tick t, std::int64_t flow, const char* detail) {
   char buf[224];
   std::snprintf(buf, sizeof(buf), "%" PRId64 " NET %" PRId64 " WARN %s", t,
                 flow, detail);
-  push(buf);
-}
-
-void TxnLog::span_attempt(Tick t, std::int64_t task, std::uint32_t attempt,
-                          std::int32_t worker, Tick ready, Tick dispatched,
-                          Tick staged, Tick exec, Tick compute,
-                          Tick exec_end, bool success,
-                          const std::string& category) {
-  if (!enabled_) return;
-  char buf[288];
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 " SPAN %" PRId64 " ATTEMPT %u %d %" PRId64
-                " %" PRId64 " %" PRId64 " %" PRId64 " %" PRId64 " %" PRId64
-                " %s %s",
-                t, task, attempt, worker, ready, dispatched, staged, exec,
-                compute, exec_end, success ? "SUCCESS" : "FAILURE",
-                category.empty() ? "default" : category.c_str());
   push(buf);
 }
 

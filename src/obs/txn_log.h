@@ -16,8 +16,6 @@
 //   time LIBRARY worker_id SENT|STARTED
 //   time FAULT seq KIND detail
 //   time NET flow_id WARN detail
-//   time SPAN task ATTEMPT attempt worker ready dispatched staged exec
-//        compute exec_end SUCCESS|FAILURE category
 //
 // Endpoints in TRANSFER lines use the transfer-matrix numbering
 // (0 = manager, 1..N = workers, N+1 = shared filesystem).
@@ -57,8 +55,8 @@ struct TxnSubjectInfo {
 inline constexpr TxnSubjectInfo kTxnSubjects[] = {
     {"MANAGER", true}, {"TASK", true},  {"WORKER", true},
     {"CACHE", true},   {"TRANSFER", false}, {"LIBRARY", true},
-    {"FAULT", true},   {"NET", true},   {"SPAN", true},
-    {"SNAPSHOT", true}, {"RECOVER", true}, {"STORE", true},
+    {"FAULT", true},   {"NET", true},   {"SNAPSHOT", true},
+    {"RECOVER", true}, {"STORE", true},
 };
 
 [[nodiscard]] constexpr bool txn_subject_registered(std::string_view s) {
@@ -157,17 +155,6 @@ class TxnLog {
   /// simulator self-healed from (e.g. a starved flow rescued by a
   /// rescheduled recompute). Should never appear in a healthy run.
   void net_warn(Tick t, std::int64_t flow, const char* detail);
-
-  /// `time SPAN task ATTEMPT attempt worker ready dispatched staged exec
-  /// compute exec_end SUCCESS|FAILURE category` — one line per completed
-  /// task attempt carrying its full lifecycle phase boundaries, emitted
-  /// when the attempt is finalized. `txn_query profile` reconstructs the
-  /// blame rollup and critical chain from these. Boundaries the attempt
-  /// never reached are -1.
-  void span_attempt(Tick t, std::int64_t task, std::uint32_t attempt,
-                    std::int32_t worker, Tick ready, Tick dispatched,
-                    Tick staged, Tick exec, Tick compute, Tick exec_end,
-                    bool success, const std::string& category);
 
   /// `time SNAPSHOT seq WRITE size_bytes digest` — the manager serialized
   /// its logical state (ha/snapshot.h). The digest lets ha::recover() find

@@ -261,181 +261,6 @@ std::string format_store_summary(const StoreSummary& ss) {
   return out;
 }
 
-std::vector<SpanRecord> span_records(const std::vector<Event>& events) {
-  std::vector<SpanRecord> out;
-  for (const auto& ev : events) {
-    if (ev.subject != "SPAN" || ev.verb != "ATTEMPT") continue;
-    if (ev.rest.size() < 10) continue;
-    SpanRecord sr;
-    sr.task = ev.id;
-    sr.retrieved = ev.t;
-    sr.attempt = static_cast<std::uint32_t>(
-        std::strtoul(ev.rest[0].c_str(), nullptr, 10));
-    sr.worker = static_cast<std::int32_t>(std::atoi(ev.rest[1].c_str()));
-    sr.ready = std::strtoll(ev.rest[2].c_str(), nullptr, 10);
-    sr.dispatched = std::strtoll(ev.rest[3].c_str(), nullptr, 10);
-    sr.staged = std::strtoll(ev.rest[4].c_str(), nullptr, 10);
-    sr.exec = std::strtoll(ev.rest[5].c_str(), nullptr, 10);
-    sr.compute = std::strtoll(ev.rest[6].c_str(), nullptr, 10);
-    sr.exec_end = std::strtoll(ev.rest[7].c_str(), nullptr, 10);
-    sr.success = ev.rest[8] == "SUCCESS";
-    sr.category = ev.rest[9];
-    out.push_back(std::move(sr));
-  }
-  return out;
-}
-
-ProfileRollup profile_rollup(const std::vector<SpanRecord>& spans) {
-  ProfileRollup out;
-  for (const auto& sr : spans) {
-    ++out.attempts;
-    if (!sr.success) {
-      ++out.failures;
-      if (sr.retrieved >= 0 && sr.dispatched >= 0) {
-        out.recovery += sr.retrieved - sr.dispatched;
-      }
-      continue;
-    }
-    // Monotone clamp so a missing boundary collapses its segment to zero
-    // instead of skewing a neighbour (mirrors obs::attribute).
-    const Tick begin = sr.dispatched >= 0 ? sr.dispatched : 0;
-    const Tick end = sr.exec_end >= begin ? sr.exec_end : begin;
-    const auto clamp = [end](Tick t, Tick floor) {
-      if (t < floor) return floor;
-      return t < end ? t : end;
-    };
-    const Tick staged = clamp(sr.staged, begin);
-    const Tick exec = clamp(sr.exec, staged);
-    const Tick compute = clamp(sr.compute, exec);
-    out.dispatch_wait += staged - begin;
-    out.transfer_wait += exec - staged;
-    out.import_cost += compute - exec;
-    out.compute += end - compute;
-  }
-  return out;
-}
-
-std::vector<ChainLink> critical_chain(const std::vector<Event>& events) {
-  // Final successful span per task (last record with the largest exec_end
-  // wins) and each task's DONE time.
-  std::map<std::int64_t, SpanRecord> finals;
-  for (auto& sr : span_records(events)) {
-    if (!sr.success) continue;
-    auto it = finals.find(sr.task);
-    if (it == finals.end() || sr.exec_end >= it->second.exec_end) {
-      finals[sr.task] = std::move(sr);
-    }
-  }
-  std::map<std::int64_t, Tick> done_at;
-  // Smallest task id per DONE tick, for deterministic predecessor ties.
-  std::map<Tick, std::int64_t> first_done_at_tick;
-  for (const auto& ev : events) {
-    if (ev.subject != "TASK" || ev.verb != "DONE") continue;
-    done_at[ev.id] = ev.t;
-  }
-  for (const auto& [task, t] : done_at) {
-    if (first_done_at_tick.find(t) == first_done_at_tick.end()) {
-      first_done_at_tick[t] = task;
-    }
-  }
-
-  std::vector<ChainLink> chain;
-  std::int64_t head = -1;
-  Tick head_finish = -1;
-  for (const auto& [task, sr] : finals) {
-    if (sr.exec_end > head_finish) {
-      head = task;
-      head_finish = sr.exec_end;
-    }
-  }
-  if (head < 0) return chain;
-
-  std::int64_t current = head;
-  while (chain.size() <= finals.size()) {
-    const SpanRecord& sr = finals.at(current);
-    ChainLink link;
-    link.task = current;
-    link.finish = sr.exec_end;
-    link.span = sr;
-
-    // Predecessor: the task whose DONE coincides with this task's ready
-    // time (the manager marks dependents ready in the same event that
-    // retires the last dependency). No match means a root — or a link
-    // whose readiness was gated by a retry, where the chain ends.
-    std::int64_t pred = -1;
-    const auto pit = first_done_at_tick.find(sr.ready);
-    if (pit != first_done_at_tick.end() && pit->second != current &&
-        finals.find(pit->second) != finals.end()) {
-      pred = pit->second;
-    }
-    link.gate = sr.ready;
-    chain.push_back(std::move(link));
-    if (pred < 0) break;
-    current = pred;
-  }
-  return chain;
-}
-
-std::string format_profile(const std::vector<Event>& events,
-                           std::size_t top_k) {
-  const auto spans = span_records(events);
-  std::string out;
-  char buf[256];
-  if (spans.empty()) {
-    return "no SPAN records in this log (produced by a pre-profiler run?)\n";
-  }
-  const ProfileRollup r = profile_rollup(spans);
-  std::snprintf(buf, sizeof(buf),
-                "attempts: %zu (%zu failed)\noccupied core time: %.3fs\n",
-                r.attempts, r.failures, util::to_seconds(r.occupied()));
-  out += buf;
-  const double total =
-      r.occupied() > 0 ? static_cast<double>(r.occupied()) : 1.0;
-  const auto row = [&](const char* label, Tick t) {
-    std::snprintf(buf, sizeof(buf), "  %-14s %13.3fs  %6.2f%%\n", label,
-                  util::to_seconds(t),
-                  100.0 * static_cast<double>(t) / total);
-    out += buf;
-  };
-  row("compute", r.compute);
-  row("import", r.import_cost);
-  row("transfer-wait", r.transfer_wait);
-  row("dispatch-wait", r.dispatch_wait);
-  row("recovery", r.recovery);
-
-  const auto chain = critical_chain(events);
-  if (!chain.empty()) {
-    const Tick length = chain.front().finish - chain.back().span.ready;
-    std::snprintf(buf, sizeof(buf),
-                  "critical chain: %zu links, %.3fs realized\n",
-                  chain.size(), util::to_seconds(length));
-    out += buf;
-    const std::size_t n = top_k < chain.size() ? top_k : chain.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const ChainLink& link = chain[i];
-      std::snprintf(buf, sizeof(buf),
-                    "  task %" PRId64
-                    " attempt %u worker %d ready=%.3fs exec_end=%.3fs "
-                    "(fetch %.3fs, import %.3fs, compute %.3fs)\n",
-                    link.task, link.span.attempt, link.span.worker,
-                    util::to_seconds(link.span.ready),
-                    util::to_seconds(link.span.exec_end),
-                    util::to_seconds(link.span.exec >= link.span.staged
-                                         ? link.span.exec - link.span.staged
-                                         : 0),
-                    util::to_seconds(link.span.compute >= link.span.exec
-                                         ? link.span.compute - link.span.exec
-                                         : 0),
-                    util::to_seconds(
-                        link.span.exec_end >= link.span.compute
-                            ? link.span.exec_end - link.span.compute
-                            : 0));
-      out += buf;
-    }
-  }
-  return out;
-}
-
 WorkerSummary worker_summary(const std::vector<Event>& events) {
   WorkerSummary out;
   for (const auto& ev : events) {

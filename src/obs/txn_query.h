@@ -6,6 +6,8 @@
 //     lifecycle with per-phase durations, and
 //   * "where did the time go?" — per-category wait/run breakdowns across
 //     all tasks.
+// Per-attempt phase blame and the critical path are not reconstructed
+// here: they come from the run's span log (obs/span.h) via `vine_profile`.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +38,9 @@ struct Event {
 [[nodiscard]] std::vector<Event> parse_log(const std::string& text);
 
 /// Heuristic: does `text` look like a transactions log — the `# time_us`
-/// header comment or at least one parsable event line? CLIs use this to
-/// give a pointed diagnostic when a txn log is handed to the span-log
-/// profiler (or vice versa) instead of a generic parse error.
+/// header comment or at least one parsable event line? `vine_profile` uses
+/// this to give a pointed diagnostic when a txn log is handed to the
+/// span-log profiler instead of a generic parse error.
 [[nodiscard]] bool looks_like_txn_log(const std::string& text);
 
 /// Reconstructed lifecycle of one task (last attempt wins for the
@@ -137,71 +139,5 @@ struct StoreSummary {
 
 /// Human-readable object-store lifecycle table.
 [[nodiscard]] std::string format_store_summary(const StoreSummary& ss);
-
-/// One `SPAN task ATTEMPT ...` record: the full lifecycle phase
-/// boundaries of a task attempt (see obs/txn_log.h for the line format).
-/// `retrieved` is the line's own timestamp — the manager finalized the
-/// attempt then. Boundaries the attempt never reached are -1.
-struct SpanRecord {
-  std::int64_t task = -1;
-  std::uint32_t attempt = 0;
-  std::int32_t worker = -1;
-  Tick ready = -1;
-  Tick dispatched = -1;
-  Tick staged = -1;
-  Tick exec = -1;
-  Tick compute = -1;
-  Tick exec_end = -1;
-  Tick retrieved = -1;
-  bool success = false;
-  std::string category;
-};
-
-/// All SPAN ATTEMPT records in the log, in emission order.
-[[nodiscard]] std::vector<SpanRecord> span_records(
-    const std::vector<Event>& events);
-
-/// Blame rollup over the core time occupied by the recorded attempts. A
-/// txn log carries no cluster-capacity information, so unlike the full
-/// attribution ledger this has no idle/preempted categories — it answers
-/// "how was occupied core time spent", not "where did capacity go".
-struct ProfileRollup {
-  std::size_t attempts = 0;
-  std::size_t failures = 0;
-  Tick compute = 0;
-  Tick import_cost = 0;
-  Tick transfer_wait = 0;
-  Tick dispatch_wait = 0;
-  Tick recovery = 0;
-
-  [[nodiscard]] Tick occupied() const {
-    return compute + import_cost + transfer_wait + dispatch_wait + recovery;
-  }
-};
-[[nodiscard]] ProfileRollup profile_rollup(
-    const std::vector<SpanRecord>& spans);
-
-/// One link of the critical chain reconstructed from the log: `task`
-/// could not become ready before `gate` (its slowest predecessor's DONE
-/// time) and its process exited at `finish`.
-struct ChainLink {
-  std::int64_t task = -1;
-  Tick gate = -1;
-  Tick finish = -1;
-  SpanRecord span;
-};
-
-/// Walk back from the last task to finish, at each step following the
-/// task whose DONE line coincides with this task's ready time (ties to
-/// the smallest id). Head first. The reconstruction is timestamp-based:
-/// a requeued link (ready gated by a retry rather than a dependency)
-/// terminates the chain.
-[[nodiscard]] std::vector<ChainLink> critical_chain(
-    const std::vector<Event>& events);
-
-/// Human-readable profile: blame rollup plus the top-`top_k`
-/// critical-chain links.
-[[nodiscard]] std::string format_profile(const std::vector<Event>& events,
-                                         std::size_t top_k);
 
 }  // namespace hepvine::obs::txnq

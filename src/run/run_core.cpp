@@ -253,8 +253,8 @@ void RunCore::begin_profile() {
 }
 
 /// Seal the span log once the makespan is known, derive the attribution
-/// ledger (which supplies the reported busy fraction), and emit the
-/// lifecycle Chrome-trace events when opted in.
+/// ledger (which supplies the reported busy fraction), and derive the
+/// Chrome trace's task lanes from it when tracing.
 void RunCore::finish_profile() {
   report_.profile.set_manager(manager_.total_busy_time(),
                               manager_.operations());
@@ -263,9 +263,7 @@ void RunCore::finish_profile() {
   const obs::AttributionLedger ledger = obs::attribute(report_.profile);
   report_.manager_busy_fraction = ledger.manager_busy_fraction;
   assert(ledger.identity_ok());
-  if (trace_on() && obs_->config().trace_lifecycle_spans) {
-    obs::emit_lifecycle_trace(report_.profile, obs_->trace());
-  }
+  if (trace_on()) obs::emit_task_lanes(report_.profile, obs_->trace());
 }
 
 void RunCore::record_attempt_span(TaskId t, WorkerId w,
@@ -284,12 +282,6 @@ void RunCore::record_attempt_span(TaskId t, WorkerId w,
   s.retrieved_at = engine_.now();
   s.failed = failed;
   s.category = graph_.task(t).spec.category;
-  if (txn_on()) {
-    obs_->txn().span_attempt(engine_.now(), t, s.attempt, s.worker,
-                             s.ready_at, s.dispatched_at, s.staged_at,
-                             s.exec_at, s.compute_at, s.exec_end_at, !failed,
-                             s.category);
-  }
   report_.profile.add_attempt(std::move(s));
 }
 
@@ -302,14 +294,6 @@ bool RunCore::record_failed_attempt(TaskId t) {
     return false;
   }
   if (txn_on()) obs_->txn().task_retrieved(engine_.now(), t, "FAILURE");
-  if (trace_on() && st.worker != cluster::kNoWorker &&
-      st.state == TaskState::kRunning) {
-    const std::string& category = graph_.task(t).spec.category;
-    obs_->trace().add_span(
-        lane(cluster_.worker_endpoint(st.worker)), category + " (failed)",
-        category, st.started_at, engine_.now() - st.started_at,
-        "{\"task\":" + std::to_string(t) + ",\"failed\":true}");
-  }
   return true;
 }
 

@@ -140,13 +140,13 @@ class RunCore {
   bool crash_worker(WorkerId w);
   void forget_flow(net::FlowId flow);
 
-  /// Record the failed current attempt of `t` (FAILURE txn line, failed
-  /// Chrome-trace span). Returns false when `t` has no live attempt.
+  /// Record the failed current attempt of `t` (FAILURE txn line). Returns
+  /// false when `t` has no live attempt.
   bool record_failed_attempt(TaskId t);
   /// Close a failed attempt: fail the run past the retry limit, else
   /// requeue `t` when asked.
   void retry_or_fail(TaskId t, bool requeue);
-  /// Capture one finished attempt into the span log (and a SPAN txn line).
+  /// Capture one finished attempt into the span log.
   void record_attempt_span(TaskId t, WorkerId w, const SpanMarks& marks,
                            Tick exec_end, bool failed);
 

@@ -1188,7 +1188,7 @@ class VineRun final : public run::RunCore {
   }
 
   void dispatch(TaskId t, WorkerId w) {
-    table_.mark_dispatched(t, w, engine_.now());
+    table_.mark_dispatched(t, w);
     ++total_attempts_;
     auto& node = cluster_.worker(w);
     node.cores_in_use += 1;
@@ -1777,7 +1777,7 @@ class VineRun final : public run::RunCore {
   void start_exec(const Token& token, WorkerId w) {
     if (!token_valid(token)) return;
     const TaskId t = token.task;
-    table_.mark_running(t, engine_.now());
+    table_.mark_running(t);
     if (txn_on()) obs_->txn().task_running(engine_.now(), t, w);
     attempt_at(t).span.exec = engine_.now();
     const auto& task = graph_.task(t);
@@ -2028,13 +2028,6 @@ class VineRun final : public run::RunCore {
                               : engine_.now();
     if (txn_on()) {
       obs_->txn().task_retrieved(engine_.now(), t, "SUCCESS");
-    }
-    const Tick started = table_.at(t).started_at;
-    if (trace_on() && started > 0) {
-      const std::string& category = graph_.task(t).spec.category;
-      obs_->trace().add_span(lane(cluster_.worker_endpoint(w)), category,
-                             category, started, exec_end - started,
-                             "{\"task\":" + std::to_string(t) + "}");
     }
     record_attempt_span(t, w, attempt_at(t).span, exec_end,
                         /*failed=*/false);

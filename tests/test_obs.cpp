@@ -326,8 +326,8 @@ TEST(TxnLog, SubjectRegistryCoversGrammar) {
 }
 
 TEST(TxnQuery, LooksLikeTxnLogDiscriminatesFormats) {
-  // The CLI diagnostics (txn_query profile, vine_profile) use this to tell
-  // a transactions log handed to the wrong tool from plain garbage.
+  // vine_profile's diagnostic uses this to tell a transactions log handed
+  // to the wrong tool from plain garbage.
   EXPECT_TRUE(obs::txnq::looks_like_txn_log(
       "# time_us SUBJECT id EVENT ...\n"));
   EXPECT_TRUE(obs::txnq::looks_like_txn_log(
@@ -339,19 +339,6 @@ TEST(TxnQuery, LooksLikeTxnLogDiscriminatesFormats) {
   EXPECT_FALSE(obs::txnq::looks_like_txn_log("# hepvine spans v1\nRUN 5 1 vine\n"));
   EXPECT_FALSE(obs::txnq::looks_like_txn_log("hello world\nmore garbage\n"));
   EXPECT_FALSE(obs::txnq::looks_like_txn_log("12 ZOMBIE 7 WAITING\n"));
-}
-
-TEST(TxnQuery, SpanRecordsAreEmptyOnSpanlessLog) {
-  // A pre-profiler txn log parses fine but carries no SPAN lines; the
-  // profile CLI must detect this (and error out) rather than emit a
-  // zero-filled report.
-  const auto events = obs::txnq::parse_log(
-      "0 MANAGER 0 START\n"
-      "12 TASK 7 WAITING process 0\n"
-      "90 TASK 7 DONE ok\n"
-      "99 MANAGER 0 END\n");
-  ASSERT_FALSE(events.empty());
-  EXPECT_TRUE(obs::txnq::span_records(events).empty());
 }
 
 TEST(TxnQuery, ReconstructsLifetimeAndBreakdown) {

@@ -11,8 +11,13 @@
 //    profile text / profile JSON must be bit-identical across replays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "dd/dask_distributed.h"
 #include "obs/attribution.h"
@@ -20,7 +25,6 @@
 #include "obs/critical_path.h"
 #include "obs/profile_report.h"
 #include "obs/span.h"
-#include "obs/txn_query.h"
 #include "scheduler_test_util.h"
 #include "vine/vine_scheduler.h"
 #include "wq/work_queue.h"
@@ -114,8 +118,8 @@ TEST(Attribution, HandBuiltLedgerIsExact) {
   EXPECT_EQ(blame_ticks(ledger.ticks, Blame::kTransferWait), 30);
   EXPECT_EQ(blame_ticks(ledger.ticks, Blame::kDispatchWait), 70);
   EXPECT_EQ(blame_ticks(ledger.ticks, Blame::kRecovery), 80);
-  // Worker 1 disappears at 500 with 1 core: 500 preempted core-ticks.
-  EXPECT_EQ(blame_ticks(ledger.ticks, Blame::kPreempted), 500);
+  // Worker 1 disappears at 500 with 1 core: 500 disconnected core-ticks.
+  EXPECT_EQ(blame_ticks(ledger.ticks, Blame::kDisconnected), 500);
   // Idle is the residual: w0 2000−370 = 1630, w1 500−150 = 350.
   EXPECT_EQ(blame_ticks(ledger.ticks, Blame::kIdle), 1980);
   EXPECT_EQ(ledger.attributed(), ledger.capacity);
@@ -128,7 +132,7 @@ TEST(Attribution, HandBuiltLedgerIsExact) {
   EXPECT_EQ(blame_ticks(ledger.workers[0].ticks, Blame::kIdle), 1630);
   EXPECT_EQ(ledger.workers[1].capacity, 1000);
   EXPECT_EQ(ledger.workers[1].alive, 500);
-  EXPECT_EQ(blame_ticks(ledger.workers[1].ticks, Blame::kPreempted), 500);
+  EXPECT_EQ(blame_ticks(ledger.workers[1].ticks, Blame::kDisconnected), 500);
   EXPECT_EQ(blame_ticks(ledger.workers[1].ticks, Blame::kRecovery), 80);
   EXPECT_EQ(blame_ticks(ledger.workers[1].ticks, Blame::kIdle), 350);
 
@@ -230,8 +234,8 @@ TEST(SpanLog, SerializeParseRoundTripsExactly) {
 
 TEST(SpanLog, ParseRejectsTxnLogText) {
   // Handing a transactions log to the span parser must fail cleanly (the
-  // vine_profile CLI then points the user at txn_query), never produce a
-  // zero-filled log.
+  // vine_profile CLI then tells the user to capture a span log), never
+  // produce a zero-filled log.
   const std::string txn =
       "# time_us SUBJECT id EVENT ...\n"
       "0 MANAGER 0 START\n"
@@ -367,56 +371,77 @@ TEST_P(ProfileMatrix, ProfileOutputsReplayBitIdentically) {
             obs::profile_json(b.profile, pb));
 }
 
-TEST_P(ProfileMatrix, TxnSpanLinesMatchTheSpanLog) {
-  exec::RunOptions options = base_options();
-  options.observability.enabled = true;
-  options.observability.txn_log = true;
-  options.observability.perf_log = false;
-  options.observability.chrome_trace = false;
-  const auto report = run(options);
-  ASSERT_TRUE(report.success) << report.failure_reason;
-  ASSERT_TRUE(report.observation != nullptr);
-
-  const auto events =
-      obs::txnq::parse_log(report.observation->txn().text());
-  const auto spans = obs::txnq::span_records(events);
-  ASSERT_EQ(spans.size(), report.profile.attempts().size());
-  // The txn rollup and the ledger agree on the occupied categories (both
-  // derive from the same boundaries by the same clamping rules).
-  const auto rollup = obs::txnq::profile_rollup(spans);
-  const obs::AttributionLedger ledger = obs::attribute(report.profile);
-  EXPECT_EQ(rollup.compute, blame_ticks(ledger.ticks, Blame::kCompute));
-  EXPECT_EQ(rollup.import_cost, blame_ticks(ledger.ticks, Blame::kImport));
-  EXPECT_EQ(rollup.transfer_wait,
-            blame_ticks(ledger.ticks, Blame::kTransferWait));
-  EXPECT_EQ(rollup.dispatch_wait,
-            blame_ticks(ledger.ticks, Blame::kDispatchWait));
-  EXPECT_EQ(rollup.recovery, blame_ticks(ledger.ticks, Blame::kRecovery));
-}
-
-TEST_P(ProfileMatrix, LifecycleTraceOptInLeavesLegacyTraceByteStable) {
+TEST_P(ProfileMatrix, ChromeTaskLanesMatchTheSpanLog) {
+  // Aim the faults with a clean probe so they land mid-run and kill
+  // running processes on every scheduler.
+  const auto clean = run(base_options());
+  ASSERT_TRUE(clean.success) << clean.failure_reason;
   exec::RunOptions options = base_options();
   options.observability.enabled = true;
   options.observability.txn_log = false;
   options.observability.perf_log = false;
   options.observability.chrome_trace = true;
-  const auto plain = run(options);
-  ASSERT_TRUE(plain.success) << plain.failure_reason;
+  options.faults.crash_worker(clean.makespan / 3, 1)
+      .crash_worker(clean.makespan / 2, 2)
+      .kill_transfers(clean.makespan / 5, 2)
+      .fs_brownout(clean.makespan / 4, clean.makespan / 8, 0.25);
+  const auto report = run(options, /*preempt_per_hour=*/40.0);
+  const auto replay = run(options, /*preempt_per_hour=*/40.0);
+  ASSERT_TRUE(report.success) << report.failure_reason;
+  ASSERT_TRUE(report.observation != nullptr);
+  ASSERT_TRUE(replay.observation != nullptr);
+  const std::string json = report.observation->trace().to_json();
+  EXPECT_EQ(json, replay.observation->trace().to_json());
 
-  exec::RunOptions opted = options;
-  opted.observability.trace_lifecycle_spans = true;
-  const auto with_spans = run(opted);
-  ASSERT_TRUE(with_spans.success) << with_spans.failure_reason;
+  // Every attempt that started a process on a worker is one task span on
+  // that worker's lane, over the interval the task views use (the builder
+  // widens a zero-length span to one tick).
+  using Lane =
+      std::tuple<std::int32_t, std::int64_t, Tick, Tick, bool, std::string>;
+  std::vector<Lane> expected;
+  std::size_t failed_lanes = 0;
+  for (const auto& a : report.profile.attempts()) {
+    if (a.exec_at < 0) continue;
+    ASSERT_GE(a.worker, 0);
+    const Tick dur = obs::attempt_end(a) - obs::attempt_start(a);
+    expected.emplace_back(a.worker + 1, a.task, a.exec_at,
+                          dur > 0 ? dur : 1, a.failed,
+                          a.failed ? a.category + " (failed)" : a.category);
+    failed_lanes += a.failed ? 1 : 0;
+  }
+  // The fault schedule must kill running processes, or the failed lanes
+  // go untested.
+  EXPECT_GT(failed_lanes, 0u);
 
-  const std::string plain_json = plain.observation->trace().to_json();
-  const std::string spans_json = with_spans.observation->trace().to_json();
-  // Off by default: no B/E events anywhere in the legacy trace.
-  EXPECT_EQ(plain_json.find("\"ph\":\"B\""), std::string::npos);
-  // Opt-in: strictly additive nested lifecycle events.
-  EXPECT_NE(spans_json.find("\"ph\":\"B\""), std::string::npos);
-  EXPECT_NE(spans_json.find("\"ph\":\"E\""), std::string::npos);
-  EXPECT_GT(with_spans.observation->trace().events(),
-            plain.observation->trace().events());
+  // The trace puts one event per line; every "X" event is a task span.
+  std::vector<Lane> traced;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos) continue;
+    const auto at = [&line](const char* key) {
+      const std::size_t pos = line.find(key);
+      return pos == std::string::npos ? "" : line.c_str() + pos;
+    };
+    int pid = -1;
+    long long ts = -1;
+    long long dur = -1;
+    long long task = -1;
+    ASSERT_EQ(std::sscanf(at("\"pid\":"),
+                          "\"pid\":%d,\"tid\":0,\"ts\":%lld,\"dur\":%lld",
+                          &pid, &ts, &dur),
+              3)
+        << line;
+    ASSERT_EQ(std::sscanf(at("\"task\":"), "\"task\":%lld", &task), 1)
+        << line;
+    ASSERT_EQ(line.rfind("{\"name\":\"", 0), 0u) << line;
+    const std::string name = line.substr(9, line.find('"', 9) - 9);
+    traced.emplace_back(pid, task, ts, dur,
+                        line.find("\"failed\":true") != std::string::npos,
+                        name);
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(traced.begin(), traced.end());
+  EXPECT_EQ(traced, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, ProfileMatrix,

@@ -125,7 +125,7 @@ TEST(DepthPriority, ReadyReductionsDispatchBeforeReadyMapTasks) {
   for (int i = 0; i < 8; ++i) {
     const dag::TaskId t = table.pop_ready();
     ASSERT_LT(t, 8);
-    table.mark_dispatched(t, 0, 0);
+    table.mark_dispatched(t, 0);
     table.mark_done(t, std::make_shared<dag::ScalarValue>(1.0), 0);
   }
   const dag::TaskId next = table.pop_ready();

@@ -9,7 +9,6 @@
 //   txn_query <txn.log> workers        connection/disconnection summary
 //   txn_query <txn.log> cache          cache lifecycle (INSERT/EVICT/GC/LOST)
 //   txn_query <txn.log> store          object-store lifecycle (PUT/REF/SPILL/DROP)
-//   txn_query <txn.log> profile [k]    blame rollup + top-k critical chain
 //   txn_query <txn.log> summary        everything above, condensed
 
 #include <cstdio>
@@ -35,7 +34,6 @@ int usage(const char* argv0) {
                "  workers      worker connection summary\n"
                "  cache        cache lifecycle rollup (INSERT/EVICT/GC/LOST)\n"
                "  store        object-store rollup (PUT/REF/SPILL/DROP)\n"
-               "  profile [k]  blame rollup + top-k critical-chain links\n"
                "  summary      condensed overview\n",
                argv0);
   return 2;
@@ -131,24 +129,6 @@ int main(int argc, char** argv) {
                    obs::txnq::store_summary(events))
                    .c_str(),
                stdout);
-    return 0;
-  }
-
-  if (cmd == "profile") {
-    std::size_t top_k = 5;
-    if (argc >= 4) {
-      top_k = static_cast<std::size_t>(std::strtoull(argv[3], nullptr, 10));
-    }
-    if (obs::txnq::span_records(events).empty()) {
-      std::fprintf(stderr,
-                   "error: no SPAN ATTEMPT records in %s — the profile "
-                   "command needs a transactions log captured with span "
-                   "lines (a pre-profiler run, or a log from a build "
-                   "without obs spans, cannot be profiled)\n",
-                   argv[1]);
-      return 1;
-    }
-    std::fputs(obs::txnq::format_profile(events, top_k).c_str(), stdout);
     return 0;
   }
 

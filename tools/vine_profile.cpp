@@ -79,10 +79,11 @@ int main(int argc, char** argv) {
     if (obs::txnq::looks_like_txn_log(text)) {
       std::fprintf(stderr,
                    "error: %s is a transactions log, not a span log — "
-                   "profile it with `txn_query %s profile` instead (and if "
-                   "that reports no SPAN lines, the run predates the "
-                   "profiler and cannot be attributed)\n",
-                   path.c_str(), path.c_str());
+                   "capture the run's span log instead (set "
+                   "HEPVINE_SPANS=<prefix> for the benches, or write "
+                   "RunReport::profile with SpanLog::write_file) and "
+                   "profile that\n",
+                   path.c_str());
       return 1;
     }
     std::fprintf(stderr, "error: %s is not a span log (expected a "
